@@ -42,10 +42,10 @@
        # the latter holds for every --domains N, so a multicore run is
        # gated on aggregate equality, not wall-clock.
 
-   Like exp_throughput, each engine runs [--repeat] times and the
+   Like exp_throughput, the scenario runs [--repeat] times and the
    fastest run is reported (wall-clock noise is one-sided); the
    simulated behavior is seed-deterministic, so fairness numbers are
-   identical across repeats, engines, and domain counts. *)
+   identical across repeats and domain counts. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -66,7 +66,6 @@ let packet_rate = 100_000.0 (* fleet-wide data packets per simulated second *)
 let min_measured_life = 0.02
 
 type result = {
-  engine : string;
   domains : int;
   bundles : int;
   peak_live : int;
@@ -88,20 +87,19 @@ let percentile sorted p =
     let i = int_of_float (p *. float_of_int (n - 1)) in
     sorted.(min (n - 1) (max 0 i))
 
-let run_once ~engine ~total_bundles ~domains () =
-  (* Generation pass: protocol-free, so it always runs on the heap
-     engine of a private sim. The RNG stream structure and the dense
-     live-table dynamics are identical to the legacy single-pool loop,
-     so the recorded op tape is the exact op sequence that loop issued
-     against its pool. *)
-  let gsim = Sim.create ~engine:Sim.Heap () in
+let run_once ~total_bundles ~domains () =
+  (* Generation pass: protocol-free, on a private sim. The RNG stream
+     structure and the dense live-table dynamics are identical to the
+     legacy single-pool loop, so the recorded op tape is the exact op
+     sequence that loop issued against its pool. *)
+  let gsim = Sim.create () in
   let rng = Rng.create reference_seed in
   let arrivals_rng = Rng.split rng in
   let life_rng = Rng.split rng in
   let traffic_rng = Rng.split rng in
   let size_rng = Rng.split rng in
   let pool =
-    Sharded_pool.create ~engine ~clock:Unix.gettimeofday ~domains
+    Sharded_pool.create ~clock:Unix.gettimeofday ~domains
       ~seed:reference_seed
       {
         Bundle_pool.rate_bps = reference_rates;
@@ -219,7 +217,6 @@ let run_once ~engine ~total_bundles ~domains () =
     e
   in
   {
-    engine = Sim.engine_name engine;
     domains = report.Sharded_pool.domains;
     bundles = report.Sharded_pool.acquired;
     peak_live = report.Sharded_pool.peak_live;
@@ -236,7 +233,10 @@ let run_once ~engine ~total_bundles ~domains () =
     shards = report.Sharded_pool.shards;
   }
 
-let quick_tag engine = engine ^ "-quick"
+(* The row tag names the event queue the anchors were measured on;
+   quick (10k-bundle) rows carry a suffix so [--check] compares
+   like-for-like. *)
+let tag ~quick = if quick then "calendar-quick" else "calendar"
 let domain_tag domains tag = Printf.sprintf "%s-d%d" tag domains
 
 let json_of_shard (s : Sharded_pool.shard_report) =
@@ -246,7 +246,7 @@ let json_of_shard (s : Sharded_pool.shard_report) =
     s.Sharded_pool.delivered_packets s.Sharded_pool.markers_sent
     s.Sharded_pool.wall_s
 
-let json_of_result ?(tag = fun e -> e) r =
+let json_of_result ~tag r =
   let shard_part =
     if r.domains = 1 then ""
     else
@@ -256,15 +256,15 @@ let json_of_result ?(tag = fun e -> e) r =
   in
   Printf.sprintf
     "{\"engine\":\"%s\",\"domains\":%d,\"bundles\":%d,\"peak_live\":%d,\"delivered\":%d,\"markers\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"share_p50\":%.4f,\"share_p99\":%.4f,\"sim_seconds\":%.4f%s}"
-    (tag r.engine) r.domains r.bundles r.peak_live r.delivered r.markers
+    tag r.domains r.bundles r.peak_live r.delivered r.markers
     r.wall_s r.pps r.share_p50 r.share_p99 r.sim_seconds shard_part
 
-let print_result r =
+let print_result ~tag r =
   Printf.printf
-    "  %-10s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
+    "  %-14s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
      pkts/s  share err p50 %.3f p99 %.3f\n\
      %!"
-    r.engine r.bundles r.peak_live r.delivered r.wall_s r.pps r.share_p50
+    tag r.bundles r.peak_live r.delivered r.wall_s r.pps r.share_p50
     r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
@@ -272,7 +272,7 @@ let print_result r =
         float_of_int s.Sharded_pool.delivered_packets /. s.Sharded_pool.wall_s
       else 0.0
     in
-    Printf.printf "  %-10s %d domains: shard pps [%s]  efficiency %.0f%%\n%!" ""
+    Printf.printf "  %-14s %d domains: shard pps [%s]  efficiency %.0f%%\n%!" ""
       r.domains
       (String.concat " "
          (Array.to_list
@@ -314,10 +314,10 @@ let scan_number ~engine ~field path =
       done;
       float_of_string_opt (String.sub s p (!stop - p)))
 
-let best_of ~repeat ~engine ~total_bundles ~domains () =
-  let best = ref (run_once ~engine ~total_bundles ~domains ()) in
+let best_of ~repeat ~total_bundles ~domains () =
+  let best = ref (run_once ~total_bundles ~domains ()) in
   for _ = 2 to repeat do
-    let r = run_once ~engine ~total_bundles ~domains () in
+    let r = run_once ~total_bundles ~domains () in
     if r.pps > !best.pps then best := r
   done;
   !best
@@ -333,7 +333,6 @@ let () =
   let max_regress = ref 0.30 in
   let repeat = ref 3 in
   let domains = ref 1 in
-  let engines = ref [ Sim.Heap; Sim.Calendar ] in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -357,17 +356,10 @@ let () =
     | "--max-regress" :: v :: rest ->
       max_regress := float_of_string v;
       parse rest
-    | "--engine" :: "heap" :: rest ->
-      engines := [ Sim.Heap ];
-      parse rest
-    | "--engine" :: "calendar" :: rest ->
-      engines := [ Sim.Calendar ];
-      parse rest
     | arg :: _ ->
       Printf.eprintf
         "usage: exp_fleet [--quick] [--bundles N] [--repeat N] [--domains N] \
-         [--json FILE] [--check FILE] [--max-regress F] [--engine \
-         heap|calendar] (got %s)\n"
+         [--json FILE] [--check FILE] [--max-regress F] (got %s)\n"
         arg;
       exit 2
   in
@@ -387,20 +379,15 @@ let () =
     domains
     (if domains = 1 then "" else "s")
     !repeat;
-  let results =
-    List.map
-      (fun e -> best_of ~repeat:!repeat ~engine:e ~total_bundles ~domains ())
-      !engines
-  in
-  List.iter print_result results;
+  let r = best_of ~repeat:!repeat ~total_bundles ~domains () in
   (* The committed anchor entries are single-domain; a multi-domain run
      tags its entries with the domain count and is gated purely on
      aggregate equality against the anchor. *)
-  let base_tag r = if !quick then quick_tag r.engine else r.engine in
-  let entry_tag r =
-    let t = base_tag r in
-    if r.domains = 1 then t else domain_tag r.domains t
+  let anchor = tag ~quick:!quick in
+  let entry_tag ~anchor r =
+    if r.domains = 1 then anchor else domain_tag r.domains anchor
   in
+  print_result ~tag:anchor r;
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -409,20 +396,13 @@ let () =
     let quick_entries =
       if !quick then []
       else
-        List.map
-          (fun e ->
-            let r =
-              best_of ~repeat:!repeat ~engine:e ~total_bundles:quick_bundles
-                ~domains ()
-            in
-            json_of_result
-              ~tag:(fun _ -> entry_tag { r with engine = quick_tag r.engine })
-              r)
-          !engines
+        let q =
+          best_of ~repeat:!repeat ~total_bundles:quick_bundles ~domains ()
+        in
+        [ json_of_result ~tag:(entry_tag ~anchor:(tag ~quick:true) q) q ]
     in
     let entries =
-      List.map (fun r -> json_of_result ~tag:(fun _ -> entry_tag r) r) results
-      @ quick_entries
+      json_of_result ~tag:(entry_tag ~anchor r) r :: quick_entries
     in
     let oc = open_out file in
     Printf.fprintf oc
@@ -447,67 +427,63 @@ let () =
       exit 1
     end;
     let fail = ref false in
-    List.iter
-      (fun r ->
-        let anchor = base_tag r in
-        (* Wall-clock gate: single-domain only (CI runners may be
-           single-core, so a sharded run's pps is not comparable). *)
-        (if r.domains = 1 then
-           match scan_number ~engine:anchor ~field:"pps" file with
-           | None ->
-             Printf.eprintf
-               "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
-                regenerate the baseline with --json\n"
-               anchor file;
-             fail := true
-           | Some committed ->
-             let floor = committed *. (1.0 -. !max_regress) in
-             Printf.printf
-               "  check %-16s %.0f pps vs committed %.0f (floor %.0f)\n" anchor
-               r.pps committed floor;
-             if r.pps < floor then begin
-               Printf.eprintf
-                 "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n"
-                 anchor
-                 (100.0 *. !max_regress)
-                 r.pps floor;
-               fail := true
-             end);
-        (* Determinism gate: the protocol aggregates must equal the
-           committed single-domain anchor — for every domain count. *)
-        let eq_int field actual =
-          match scan_number ~engine:anchor ~field file with
-          | None -> ()
-          | Some committed ->
-            if float_of_int actual <> committed then begin
-              Printf.eprintf
-                "  FAIL: %s (domains=%d): \"%s\" %d differs from committed \
-                 anchor %.0f\n"
-                anchor r.domains field actual committed;
-              fail := true
-            end
-        in
-        let eq_float field actual =
-          match scan_number ~engine:anchor ~field file with
-          | None -> ()
-          | Some committed ->
-            (* The committed JSON rounds to 4 decimals. *)
-            if Float.abs (actual -. committed) > 5e-5 then begin
-              Printf.eprintf
-                "  FAIL: %s (domains=%d): \"%s\" %.4f differs from committed \
-                 anchor %.4f\n"
-                anchor r.domains field actual committed;
-              fail := true
-            end
-        in
-        eq_int "delivered" r.delivered;
-        eq_int "markers" r.markers;
-        eq_float "share_p50" r.share_p50;
-        eq_float "share_p99" r.share_p99;
-        if r.domains > 1 then
-          Printf.printf
-            "  check %-16s domains=%d aggregates match the single-domain \
-             anchor\n"
-            anchor r.domains)
-      results;
+    (* Wall-clock gate: single-domain only (CI runners may be
+       single-core, so a sharded run's pps is not comparable). *)
+    (if r.domains = 1 then
+       match scan_number ~engine:anchor ~field:"pps" file with
+       | None ->
+         Printf.eprintf
+           "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
+            regenerate the baseline with --json\n"
+           anchor file;
+         fail := true
+       | Some committed ->
+         let floor = committed *. (1.0 -. !max_regress) in
+         Printf.printf
+           "  check %-16s %.0f pps vs committed %.0f (floor %.0f)\n" anchor
+           r.pps committed floor;
+         if r.pps < floor then begin
+           Printf.eprintf
+             "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n"
+             anchor
+             (100.0 *. !max_regress)
+             r.pps floor;
+           fail := true
+         end);
+    (* Determinism gate: the protocol aggregates must equal the
+       committed single-domain anchor — for every domain count. *)
+    let eq_int field actual =
+      match scan_number ~engine:anchor ~field file with
+      | None -> ()
+      | Some committed ->
+        if float_of_int actual <> committed then begin
+          Printf.eprintf
+            "  FAIL: %s (domains=%d): \"%s\" %d differs from committed \
+             anchor %.0f\n"
+            anchor r.domains field actual committed;
+          fail := true
+        end
+    in
+    let eq_float field actual =
+      match scan_number ~engine:anchor ~field file with
+      | None -> ()
+      | Some committed ->
+        (* The committed JSON rounds to 4 decimals. *)
+        if Float.abs (actual -. committed) > 5e-5 then begin
+          Printf.eprintf
+            "  FAIL: %s (domains=%d): \"%s\" %.4f differs from committed \
+             anchor %.4f\n"
+            anchor r.domains field actual committed;
+          fail := true
+        end
+    in
+    eq_int "delivered" r.delivered;
+    eq_int "markers" r.markers;
+    eq_float "share_p50" r.share_p50;
+    eq_float "share_p99" r.share_p99;
+    if r.domains > 1 then
+      Printf.printf
+        "  check %-16s domains=%d aggregates match the single-domain \
+         anchor\n"
+        anchor r.domains;
     if !fail then exit 1

@@ -10,20 +10,21 @@
      dune exec bench/exp_throughput.exe --             # full run, table
      dune exec bench/exp_throughput.exe -- --quick     # 100k packets
      dune exec bench/exp_throughput.exe -- --json FILE # machine output
-     dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5 per engine
+     dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5
      dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
-       # CI gate: exit 1 if pps drops >30% below FILE's committed numbers
+       # CI gate: exit 1 if pps drops >30% below FILE's committed
+       # numbers, or minor words/packet leaves a +-1% band around them
 
-   Each engine is run [--repeat] times (default 3) and the fastest run
+   The scenario is run [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
    best-of-N converges on the machine's true throughput while the
    allocation rate (minor words per packet) is identical across runs
-   anyway.
+   anyway — which is why it is gated tightly.
 
    BENCH_throughput.json at the repo root records the trajectory: the
    frozen pre-optimization baseline (boxed binary heap, tuple FIFO
    queues, closure-per-send links, measured at commit 60b89d5) next to
-   the current engines, so every future PR can see where the hot path
+   the current numbers, so every future PR can see where the hot path
    stands. *)
 
 open Stripe_netsim
@@ -39,7 +40,6 @@ let baseline_pps = 730780.0
 let baseline_minor_words_per_packet = 132.78
 
 type result = {
-  engine : string;
   n_packets : int;
   delivered : int;
   wall_s : float;
@@ -53,8 +53,8 @@ let reference_delays = [| 0.001; 0.002; 0.005; 0.010 |]
 let reference_rate = 10e6
 let reference_seed = 42
 
-let run_once ~engine ~n_packets () =
-  let sim = Sim.create ~engine () in
+let run_once ~n_packets () =
+  let sim = Sim.create () in
   let rng = Rng.create reference_seed in
   let n = Array.length reference_delays in
   let rates = Array.make n reference_rate in
@@ -98,7 +98,7 @@ let run_once ~engine ~n_packets () =
     end
   in
   tick ();
-  (* Compact so each engine starts from the same flat major heap rather
+  (* Compact so each run starts from the same flat major heap rather
      than inheriting the previous run's fragmentation. *)
   Gc.compact ();
   let minor0 = Gc.minor_words () in
@@ -111,7 +111,6 @@ let run_once ~engine ~n_packets () =
       (Printf.sprintf "exp_throughput: delivered %d of %d packets" !delivered
          n_packets);
   {
-    engine = Sim.engine_name engine;
     n_packets;
     delivered = !delivered;
     wall_s;
@@ -124,19 +123,15 @@ let run_once ~engine ~n_packets () =
 (* Quick (100k-packet) runs measure systematically lower pps than full
    runs — less time for startup costs to amortize — so the committed
    file carries both sizes and [--check] compares like-for-like: a
-   [--quick] check reads the ["<engine>-quick"] entries. *)
-let quick_tag engine = engine ^ "-quick"
+   [--quick] check reads the ["calendar-quick"] entry. The row tag names
+   the event queue the numbers were measured on. *)
+let tag ~quick = if quick then "calendar-quick" else "calendar"
 
-let json_of_result ?(tag = fun e -> e) r =
+let json_of_result ~tag r =
   Printf.sprintf
     "{\"engine\":\"%s\",\"n_packets\":%d,\"delivered\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"minor_words\":%.0f,\"minor_words_per_packet\":%.2f,\"sim_seconds\":%.4f}"
-    (tag r.engine) r.n_packets r.delivered r.wall_s r.pps r.minor_words
+    tag r.n_packets r.delivered r.wall_s r.pps r.minor_words
     r.minor_words_per_packet r.sim_seconds
-
-let print_result r =
-  Printf.printf
-    "  %-10s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt\n%!"
-    r.engine r.n_packets r.wall_s r.pps r.minor_words_per_packet
 
 (* Minimal scanner for the committed JSON: find "NAME":NUMBER after an
    "engine":"ENGINE" tag. Good enough for the gate; no JSON dep. *)
@@ -171,13 +166,18 @@ let scan_number ~engine ~field path =
       done;
       float_of_string_opt (String.sub s p (!stop - p)))
 
-let best_of ~repeat ~engine ~n_packets () =
-  let best = ref (run_once ~engine ~n_packets ()) in
+let best_of ~repeat ~n_packets () =
+  let best = ref (run_once ~n_packets ()) in
   for _ = 2 to repeat do
-    let r = run_once ~engine ~n_packets () in
+    let r = run_once ~n_packets () in
     if r.pps > !best.pps then best := r
   done;
   !best
+
+(* Allocation is deterministic per run, so its gate is a tight band
+   rather than a one-sided floor: creep either way means the hot path
+   changed and the anchor must be refreshed with it. *)
+let words_band = 0.01
 
 let () =
   let quick = ref false in
@@ -185,7 +185,6 @@ let () =
   let check = ref None in
   let max_regress = ref 0.30 in
   let repeat = ref 3 in
-  let engines = ref [ Sim.Heap; Sim.Calendar ] in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -203,16 +202,10 @@ let () =
     | "--max-regress" :: v :: rest ->
       max_regress := float_of_string v;
       parse rest
-    | "--engine" :: "heap" :: rest ->
-      engines := [ Sim.Heap ];
-      parse rest
-    | "--engine" :: "calendar" :: rest ->
-      engines := [ Sim.Calendar ];
-      parse rest
     | arg :: _ ->
       Printf.eprintf
         "usage: exp_throughput [--quick] [--repeat N] [--json FILE] \
-         [--check FILE] [--max-regress F] [--engine heap|calendar] (got %s)\n"
+         [--check FILE] [--max-regress F] (got %s)\n"
         arg;
       exit 2
   in
@@ -222,18 +215,16 @@ let () =
     "exp_throughput: 4 channels x %.0f Mbps, SRR + markers(4) + resequencer, \
      %d packets, best of %d\n%!"
     (reference_rate /. 1e6) n_packets !repeat;
-  let results =
-    List.map (fun e -> best_of ~repeat:!repeat ~engine:e ~n_packets ()) !engines
-  in
-  List.iter print_result results;
+  let r = best_of ~repeat:!repeat ~n_packets () in
+  let row = tag ~quick:!quick in
+  Printf.printf
+    "  %-14s %9d pkts  %7.3f s wall  %10.0f pkts/s  %8.2f minor words/pkt\n%!"
+    row r.n_packets r.wall_s r.pps r.minor_words_per_packet;
   if baseline_pps > 0.0 then
-    List.iter
-      (fun r ->
-        Printf.printf
-          "  %-10s vs baseline: %.2fx pps, %.2fx fewer minor words/pkt\n"
-          r.engine (r.pps /. baseline_pps)
-          (baseline_minor_words_per_packet /. r.minor_words_per_packet))
-      results;
+    Printf.printf
+      "  %-14s vs baseline: %.2fx pps, %.2fx fewer minor words/pkt\n" row
+      (r.pps /. baseline_pps)
+      (baseline_minor_words_per_packet /. r.minor_words_per_packet);
   (match !json_out with
   | None -> ()
   | Some file ->
@@ -242,18 +233,12 @@ let () =
     let quick_entries =
       if !quick then []
       else
-        List.map
-          (fun e ->
-            json_of_result ~tag:quick_tag
-              (best_of ~repeat:!repeat ~engine:e ~n_packets:100_000 ()))
-          !engines
+        [
+          json_of_result ~tag:(tag ~quick:true)
+            (best_of ~repeat:!repeat ~n_packets:100_000 ());
+        ]
     in
-    let entries =
-      List.map
-        (json_of_result ~tag:(if !quick then quick_tag else fun e -> e))
-        results
-      @ quick_entries
-    in
+    let entries = json_of_result ~tag:row r :: quick_entries in
     let oc = open_out file in
     Printf.fprintf oc
       "{\n\
@@ -278,29 +263,45 @@ let () =
       exit 1
     end;
     let fail = ref false in
-    List.iter
-      (fun r ->
-        let tag = if !quick then quick_tag r.engine else r.engine in
-        match scan_number ~engine:tag ~field:"pps" file with
-        | None ->
-          (* A silently missing key would let the gate pass vacuously —
-             e.g. a full-run baseline committed without its embedded
-             quick entries, checked by a --quick CI job. *)
-          Printf.eprintf
-            "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
-             regenerate the baseline with --json\n"
-            tag file;
-          fail := true
-        | Some committed ->
-          let floor = committed *. (1.0 -. !max_regress) in
-          Printf.printf
-            "  check %-14s %.0f pps vs committed %.0f (floor %.0f)\n" tag r.pps
-            committed floor;
-          if r.pps < floor then begin
-            Printf.eprintf
-              "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n" tag
-              (100.0 *. !max_regress) r.pps floor;
-            fail := true
-          end)
-      results;
+    let committed field =
+      match scan_number ~engine:row ~field file with
+      | Some v -> Some v
+      | None ->
+        (* A silently missing key would let the gate pass vacuously —
+           e.g. a full-run baseline committed without its embedded
+           quick entry, checked by a --quick CI job. *)
+        Printf.eprintf
+          "  FAIL: no committed \"%s\" entry for engine \"%s\" in %s — \
+           regenerate the baseline with --json\n"
+          field row file;
+        fail := true;
+        None
+    in
+    (match committed "pps" with
+    | None -> ()
+    | Some committed ->
+      let floor = committed *. (1.0 -. !max_regress) in
+      Printf.printf "  check %-14s %.0f pps vs committed %.0f (floor %.0f)\n"
+        row r.pps committed floor;
+      if r.pps < floor then begin
+        Printf.eprintf
+          "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n" row
+          (100.0 *. !max_regress) r.pps floor;
+        fail := true
+      end);
+    (match committed "minor_words_per_packet" with
+    | None -> ()
+    | Some committed ->
+      let lo = committed *. (1.0 -. words_band)
+      and hi = committed *. (1.0 +. words_band) in
+      Printf.printf
+        "  check %-14s %.2f minor words/pkt vs committed %.2f (band %.2f..%.2f)\n"
+        row r.minor_words_per_packet committed lo hi;
+      if r.minor_words_per_packet < lo || r.minor_words_per_packet > hi then begin
+        Printf.eprintf
+          "  FAIL: %s minor words/pkt %.2f outside the +-%.0f%% band around \
+           %.2f\n"
+          row r.minor_words_per_packet (100.0 *. words_band) committed;
+        fail := true
+      end);
     if !fail then exit 1

@@ -79,7 +79,6 @@ let tape_push tp ~op ~at ~slot ~arg =
 
 type t = {
   domains : int;
-  engine : Sim.engine;
   stamp_seq : bool;
   seed : int;
   config : Bundle_pool.config;
@@ -147,7 +146,7 @@ let grow_shadow t cap =
   done;
   t.cap <- cap
 
-let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
+let create ?(stamp_seq = false) ?(initial_capacity = 64)
     ?(clock = fun () -> 0.0) ~domains ~seed config =
   let domains = resolve_domains domains in
   if initial_capacity <= 0 then
@@ -155,7 +154,6 @@ let create ?(engine = Sim.Heap) ?(stamp_seq = false) ?(initial_capacity = 64)
   let t =
     {
       domains;
-      engine;
       stamp_seq;
       seed;
       config;
@@ -282,7 +280,7 @@ let replay t ~shard =
   Array.iteri
     (fun g l -> if l >= 0 then global_of_local.(l) <- g)
     local_of_global;
-  let sim = Sim.create ~engine:t.engine () in
+  let sim = Sim.create () in
   let rng = Rng.stream ~seed:t.seed shard in
   let pool =
     Bundle_pool.create ~initial_capacity:(max 1 !n_slots)

@@ -32,7 +32,6 @@
 type t
 
 val create :
-  ?engine:Stripe_netsim.Sim.engine ->
   ?stamp_seq:bool ->
   ?initial_capacity:int ->
   ?clock:(unit -> float) ->
@@ -41,8 +40,8 @@ val create :
   Bundle_pool.config ->
   t
 (** A recorder for a fleet sharded [domains] ways ([0] means
-    {!auto_domains}). [engine], [stamp_seq], [initial_capacity] and
-    [config] are handed to each shard's [Bundle_pool.create]; shard [k]
+    {!auto_domains}). [stamp_seq], [initial_capacity] and [config] are
+    handed to each shard's [Bundle_pool.create]; shard [k]
     receives the generator [Rng.stream ~seed k]. [clock] (e.g.
     [Unix.gettimeofday]) is sampled around each shard's replay for the
     {!type-report} timing fields; the default clock always reads 0. The

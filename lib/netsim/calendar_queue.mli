@@ -1,14 +1,17 @@
-(** Calendar queue of timed events (R. Brown, CACM 1988).
+(** Calendar queue of timed events (R. Brown, CACM 1988): the event
+    queue behind {!Sim}.
 
     O(1) amortized add/pop for the clustered near-future event
-    populations discrete-event simulations generate, against the heap's
+    populations discrete-event simulations generate, against a heap's
     O(log n). Automatically resizes its bucket ring and re-derives the
-    bucket width from the live event population.
+    bucket width from the live event population. Buckets are linked
+    lists over one node slab, so once warmed up the add/pop cycle
+    allocates nothing, resizes included.
 
-    Drop-in ordering-compatible with {!Eventq}: pops ascend by time, and
-    same-time events pop in insertion order (checked against the heap by
-    a qcheck property over random add/pop/clear interleavings), so a
-    simulation produces byte-identical seeded traces on either engine. *)
+    Ordering checked against {!Eventq}, the reference binary heap: pops
+    ascend by time, and same-time events pop in insertion order (a
+    qcheck property over random add/pop/clear interleavings), so seeded
+    simulations are deterministic. *)
 
 type 'a t
 
@@ -20,7 +23,8 @@ val length : 'a t -> int
 
 val add : 'a t -> time:float -> 'a -> unit
 (** [add q ~time v] inserts [v] to fire at [time]. Allocation-free
-    except when a bucket or the calendar itself resizes. *)
+    except when the node slab or the bucket-head array grows past its
+    high-water size. *)
 
 val peek_time : 'a t -> float option
 (** Earliest scheduled time, if any. *)

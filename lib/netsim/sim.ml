@@ -1,68 +1,39 @@
-type engine = Heap | Calendar
-
-let engine_name = function Heap -> "heap" | Calendar -> "calendar"
-
-let engine_of_name = function
-  | "heap" -> Some Heap
-  | "calendar" -> Some Calendar
-  | _ -> None
-
-type events =
-  | Qheap of (unit -> unit) Eventq.t
-  | Qcal of (unit -> unit) Calendar_queue.t
-
 type t = {
   clock : float array;
       (* Single-cell unboxed store: assigning a mutable float field of a
          mixed record boxes on every event, a float-array store does
          not. *)
   mutable stopped : bool;
-  events : events;
+  events : (unit -> unit) Calendar_queue.t;
 }
 
-let create ?(engine = Heap) () =
-  {
-    clock = [| 0.0 |];
-    stopped = false;
-    events =
-      (match engine with
-      | Heap -> Qheap (Eventq.create ())
-      | Calendar -> Qcal (Calendar_queue.create ()));
-  }
-
-let engine t = match t.events with Qheap _ -> Heap | Qcal _ -> Calendar
+let create () =
+  { clock = [| 0.0 |]; stopped = false; events = Calendar_queue.create () }
 
 let[@inline] now t = t.clock.(0)
 
+(* Written as [not (at >= now)] so a NaN time is rejected too: firing it
+   would make the clock NaN, after which every [at < now] is false and
+   past-time scheduling would pass silently. *)
 let[@inline] schedule t ~at f =
-  if at < t.clock.(0) then
+  if not (at >= t.clock.(0)) then
     invalid_arg
       (Printf.sprintf "Sim.schedule: time %g is before now (%g)" at
          t.clock.(0));
-  match t.events with
-  | Qheap q -> Eventq.add q ~time:at f
-  | Qcal q -> Calendar_queue.add q ~time:at f
+  Calendar_queue.add t.events ~time:at f
 
 let[@inline] schedule_after t ~delay f =
-  if delay < 0.0 then invalid_arg "Sim.schedule_after: negative delay";
+  if not (delay >= 0.0) then invalid_arg "Sim.schedule_after: negative delay";
   schedule t ~at:(t.clock.(0) +. delay) f
 
 let step t =
-  match t.events with
-  | Qheap q ->
-    if Eventq.is_empty q then false
-    else begin
-      t.clock.(0) <- Eventq.peek_time_unsafe q;
-      (Eventq.pop_exn q) ();
-      true
-    end
-  | Qcal q ->
-    if Calendar_queue.is_empty q then false
-    else begin
-      t.clock.(0) <- Calendar_queue.peek_time_unsafe q;
-      (Calendar_queue.pop_exn q) ();
-      true
-    end
+  let q = t.events in
+  if Calendar_queue.is_empty q then false
+  else begin
+    t.clock.(0) <- Calendar_queue.peek_time_unsafe q;
+    (Calendar_queue.pop_exn q) ();
+    true
+  end
 
 let run t =
   t.stopped <- false;
@@ -73,19 +44,15 @@ let run t =
 
 let run_until t horizon =
   t.stopped <- false;
+  let q = t.events in
   let continue = ref true in
-  let next_time () =
-    match t.events with
-    | Qheap q ->
-      if Eventq.is_empty q then infinity else Eventq.peek_time_unsafe q
-    | Qcal q ->
-      if Calendar_queue.is_empty q then infinity
-      else Calendar_queue.peek_time_unsafe q
-  in
   while !continue do
-    if t.stopped then continue := false
-    else if next_time () <= horizon then ignore (step t)
-    else continue := false
+    if
+      t.stopped
+      || Calendar_queue.is_empty q
+      || not (Calendar_queue.peek_time_unsafe q <= horizon)
+    then continue := false
+    else ignore (step t)
   done;
   (* Fast-forward to the horizon only when the run actually reached it: a
      [stop] mid-run leaves the clock at the stop point, so the caller can
@@ -93,9 +60,6 @@ let run_until t horizon =
      losing the rest of the window. *)
   if (not t.stopped) && t.clock.(0) < horizon then t.clock.(0) <- horizon
 
-let pending t =
-  match t.events with
-  | Qheap q -> Eventq.length q
-  | Qcal q -> Calendar_queue.length q
+let pending t = Calendar_queue.length t.events
 
 let stop t = t.stopped <- true

@@ -7,22 +7,9 @@
 
 type t
 
-type engine =
-  | Heap  (** Growable binary heap: O(log n), the reference engine. *)
-  | Calendar
-      (** Calendar queue: O(1) amortized for the clustered near-future
-          events links generate. Identical observable behavior. *)
-
-val engine_name : engine -> string
-val engine_of_name : string -> engine option
-
-val create : ?engine:engine -> unit -> t
-(** Fresh simulation with the clock at 0. [engine] selects the event
-    queue implementation (default [Heap]); both engines produce
-    byte-identical seeded runs. *)
-
-val engine : t -> engine
-(** Which event-queue engine this simulation runs on. *)
+val create : unit -> t
+(** Fresh simulation with the clock at 0. Events are queued in a
+    {!Calendar_queue}. *)
 
 val now : t -> float
 (** Current simulated time. *)
@@ -30,11 +17,11 @@ val now : t -> float
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule sim ~at f] runs [f] when the clock reaches [at]. [at] must
     not be in the past ([at >= now sim]); raises [Invalid_argument]
-    otherwise. *)
+    otherwise, and for a NaN [at]. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule_after sim ~delay f] is [schedule sim ~at:(now sim +. delay)].
-    [delay] must be non-negative. *)
+    [delay] must be non-negative (and not NaN). *)
 
 val run : t -> unit
 (** Drain all events. Returns when the queue is empty. *)

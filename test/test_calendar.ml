@@ -1,8 +1,8 @@
-(* Calendar queue tests: unit coverage, the qcheck equivalence property
-   against the binary heap (the reference model — including FIFO
-   tie-breaking, so either engine drives byte-identical simulations),
-   the Eventq popped-slot leak regression, and a seeded end-to-end
-   trace-equality check between the two engines. *)
+(* Calendar queue tests: unit coverage, the qcheck equivalence
+   properties against the binary heap {!Eventq} (the reference model —
+   including FIFO tie-breaking, which keeps seeded simulations
+   deterministic), the zero-allocation steady state of the node slab,
+   and the popped-value leak regressions of both queues. *)
 
 open Stripe_netsim
 
@@ -245,93 +245,74 @@ let test_pop_releases_value () =
   for i = 0 to 7 do
     if Weak.check w i then incr live
   done;
-  check_int "popped values are collectable" 0 !live
+  check_int "popped values are collectable" 0 !live;
+  (* Keeps [q] reachable across the collections above. *)
+  check "heap drained" true (Eventq.is_empty q)
 
+(* Values pass through several grow and shrink resizes before they are
+   popped, so their nodes are re-linked and then returned to the free
+   list: a free node must not keep its old value reachable. *)
 let test_calendar_pop_releases_value () =
   let q = Calendar_queue.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    Calendar_queue.add q ~time:(float_of_int i) (ref i)
+  let n = 300 in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    Calendar_queue.add q ~time:(float_of_int ((i * 7919) mod n)) (ref i)
   done;
-  for i = 0 to 7 do
+  for i = 0 to n - 1 do
     match Calendar_queue.pop q with
     | Some (_, v) -> Weak.set w i (Some v)
     | None -> Alcotest.fail "calendar emptied early"
   done;
+  (* Refill part of the slab so reused nodes are overwritten too. *)
+  for i = 0 to 9 do
+    Calendar_queue.add q ~time:(float_of_int i) (ref (-i))
+  done;
   Gc.full_major ();
   Gc.full_major ();
   let live = ref 0 in
-  for i = 0 to 7 do
+  for i = 0 to n - 1 do
     if Weak.check w i then incr live
   done;
-  check_int "popped values are collectable" 0 !live
+  check_int "popped values are collectable" 0 !live;
+  (* Keeps [q] (and so its slab) reachable across the collections above. *)
+  check_int "refilled nodes still queued" 10 (Calendar_queue.length q)
 
-(* --- Seeded end-to-end trace equality ------------------------------ *)
+(* --- Steady-state allocation ---------------------------------------- *)
 
-(* A scaled-down copy of the benchmark scenario (4 channels, SRR with
-   markers, resequencer) with every observability event rendered to
-   JSON. The two engines must produce byte-identical traces. *)
-let trace_run ~engine ~n_packets =
-  let open Stripe_packet in
-  let open Stripe_core in
-  let buf = Buffer.create 65536 in
-  let sink =
-    Stripe_obs.Sink.of_fn (fun e ->
-        Buffer.add_string buf (Stripe_obs.Event.to_json e);
-        Buffer.add_char buf '\n')
+(* Once the node slab and the bucket-head array have reached their high
+   water, cycling the population up and down — through grow resizes on
+   the way up and shrink resizes on the way down — allocates nothing.
+   Times come from a preboxed array so the loop itself allocates nothing
+   either. *)
+let test_steady_state_allocation_free () =
+  let q = Calendar_queue.create () in
+  let n = 4096 in
+  let times =
+    Array.init n (fun i -> Some (float_of_int (i * 7919 mod n) *. 1e-3))
   in
-  let sim = Sim.create ~engine () in
-  let rng = Rng.create 42 in
-  let delays = [| 0.001; 0.002; 0.005; 0.010 |] in
-  let n = Array.length delays in
-  let rates = Array.make n 10e6 in
-  let srr = Srr.for_rates ~rates_bps:rates ~quantum_unit:1500 () in
-  let reseq =
-    Resequencer.create
-      ~deficit:(Deficit.clone_initial srr)
-      ~now:(fun () -> Sim.now sim)
-      ~sink
-      ~deliver:(fun ~channel:_ _ -> ())
-      ()
+  let ops = ref 0 in
+  let cycle () =
+    for i = 0 to n - 1 do
+      match times.(i) with
+      | Some time -> Calendar_queue.add q ~time ()
+      | None -> ()
+    done;
+    while Calendar_queue.length q > 16 do
+      Calendar_queue.pop_exn q
+    done;
+    ops := !ops + (2 * n)
   in
-  let links =
-    Array.init n (fun i ->
-        Link.create sim
-          ~name:(Printf.sprintf "ch%d" i)
-          ~rate_bps:rates.(i) ~prop_delay:delays.(i) ~rng:(Rng.split rng)
-          ~channel:i ~sink
-          ~deliver:(fun pkt -> Resequencer.receive reseq ~channel:i pkt)
-          ())
-  in
-  let striper =
-    Striper.create
-      ~scheduler:(Scheduler.of_deficit ~name:"SRR" srr)
-      ~marker:(Marker.make ~every_rounds:4 ())
-      ~now:(fun () -> Sim.now sim)
-      ~sink
-      ~emit:(fun ~channel pkt ->
-        ignore (Link.send links.(channel) ~size:pkt.Packet.size pkt))
-      ()
-  in
-  let gen = Stripe_workload.Genpkt.bimodal ~rng ~small:200 ~large:1000 () in
-  let seq = ref 0 in
-  let rec tick () =
-    if !seq < n_packets then begin
-      Striper.push striper
-        (Packet.data ~seq:!seq ~born:(Sim.now sim) ~size:(gen ()) ());
-      incr seq;
-      Sim.schedule_after sim ~delay:0.00015 tick
-    end
-  in
-  tick ();
-  Sim.run sim;
-  Buffer.contents buf
-
-let test_engines_trace_identical () =
-  let heap = trace_run ~engine:Sim.Heap ~n_packets:2000 in
-  let cal = trace_run ~engine:Sim.Calendar ~n_packets:2000 in
-  check "trace is non-trivial" true (String.length heap > 10_000);
-  check "heap and calendar traces byte-identical" true (String.equal heap cal)
+  (* Warm-up: the slab and head array reach their high water. *)
+  cycle ();
+  ops := 0;
+  let words0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check (float 0.0)) "minor words per add/pop" 0.0
+    (Float.round (words /. float_of_int !ops *. 1000.0) /. 1000.0)
 
 let suites =
   [
@@ -350,7 +331,7 @@ let suites =
           test_pop_releases_value;
         Alcotest.test_case "calendar pop releases value" `Quick
           test_calendar_pop_releases_value;
-        Alcotest.test_case "engines trace identical" `Quick
-          test_engines_trace_identical;
+        Alcotest.test_case "steady state allocates nothing" `Quick
+          test_steady_state_allocation_free;
       ] );
   ]

@@ -1,6 +1,6 @@
 (* Per-discipline end-to-end coverage (PROTOCOL.md §14): seeded runs
-   are byte-identical on the heap and calendar engines for every
-   discipline, the new disciplines' fairness behavior pins to the
+   are byte-identical on rerun for every discipline, the new
+   disciplines' fairness behavior pins to the
    analytic values, and the engine-less schedulers keep a sender and a
    seed-sharing replica aligned across suspensions and §5 resets. *)
 
@@ -31,8 +31,8 @@ let all_discs =
    permutation reseed) is part of what determinism is asserted over.
    Returns the full delivery trace — time, sequence, channel — plus the
    delivered byte count: "byte-identical" means this whole trace. *)
-let run_e2e ~engine disc =
-  let sim = Sim.create ~engine () in
+let run_e2e disc =
+  let sim = Sim.create () in
   let trace = ref [] in
   let bytes = ref 0 in
   let engine_opt =
@@ -113,24 +113,10 @@ let run_e2e ~engine disc =
   Sim.run sim;
   (List.rev !trace, !bytes)
 
-let test_engines_agree (slug, disc) () =
-  let heap, hb = run_e2e ~engine:Sim.Heap disc in
-  let cal, cb = run_e2e ~engine:Sim.Calendar disc in
-  Alcotest.(check int) (slug ^ ": delivered bytes agree") hb cb;
-  Alcotest.(check int)
-    (slug ^ ": delivery count agrees")
-    (List.length heap) (List.length cal);
-  List.iter2
-    (fun (th, sh, ch) (tc, sc, cc) ->
-      Alcotest.(check (float 0.0)) (slug ^ ": delivery time") th tc;
-      Alcotest.(check int) (slug ^ ": delivery seq") sh sc;
-      Alcotest.(check int) (slug ^ ": delivery channel") ch cc)
-    heap cal;
-  Alcotest.(check bool) (slug ^ ": something was delivered") true (hb > 0)
-
 let test_seeded_rerun_identical (slug, disc) () =
-  let a, ab = run_e2e ~engine:Sim.Heap disc in
-  let b, bb = run_e2e ~engine:Sim.Heap disc in
+  let a, ab = run_e2e disc in
+  let b, bb = run_e2e disc in
+  Alcotest.(check bool) (slug ^ ": something was delivered") true (ab > 0);
   Alcotest.(check bool) (slug ^ ": reruns byte-identical") true
     (ab = bb && a = b)
 
@@ -317,15 +303,9 @@ let suites =
       List.map
         (fun d ->
           Alcotest.test_case
-            (fst d ^ ": heap/calendar byte-identical")
-            `Quick (test_engines_agree d))
+            (fst d ^ ": seeded rerun identical")
+            `Quick (test_seeded_rerun_identical d))
         all_discs
-      @ List.map
-          (fun d ->
-            Alcotest.test_case
-              (fst d ^ ": seeded rerun identical")
-              `Quick (test_seeded_rerun_identical d))
-          all_discs
       @ [
           Alcotest.test_case "sprinklers fairness bound pin" `Quick
             test_sprinklers_fairness_bound_pin;

@@ -2,8 +2,7 @@
    must be indistinguishable from a fresh bundle), high-water isolation
    across generations (the pooled-reuse regression for
    Fifo_queue.recycle), stale in-flight discard across churn, growth
-   past the initial capacity, guard transparency, and heap/calendar
-   engine agreement on a churned fleet. *)
+   past the initial capacity, and guard transparency. *)
 
 open Stripe_netsim
 open Stripe_core
@@ -189,47 +188,6 @@ let test_guard_is_transparent_on_clean_wires () =
   check "guarded fleet delivers identically" true (plain = guarded);
   check "both generations delivered" true (fst plain > 300 && snd plain > 300)
 
-(* --- Engine agreement on a churned fleet ---------------------------- *)
-
-let churn_run ~engine =
-  let sim = Sim.create ~engine () in
-  let rng = Rng.create 7 in
-  let pool = Bundle_pool.create ~sim ~initial_capacity:8 (config ()) in
-  let live = ref [] in
-  let n_churns = ref 0 in
-  let rec churn () =
-    (* Alternate arrivals and departures; keep pushing traffic into a
-       random live bundle between churn events. *)
-    if !n_churns < 60 then begin
-      incr n_churns;
-      (if List.length !live < 6 || (Rng.bool rng && !live <> []) then
-         live := Bundle_pool.acquire pool :: !live
-       else
-         match !live with
-         | id :: rest ->
-           Bundle_pool.release pool id;
-           live := rest
-         | [] -> ());
-      List.iter (fun id -> push_n pool id (1 + Rng.int rng 30)) !live;
-      Sim.schedule_after sim ~delay:0.005 churn
-    end
-  in
-  churn ();
-  Sim.run sim;
-  ( Bundle_pool.total_acquired pool,
-    Bundle_pool.recycles pool,
-    Bundle_pool.total_delivered_packets pool,
-    Bundle_pool.total_delivered_bytes pool,
-    Bundle_pool.markers_sent pool )
-
-let test_engines_agree_on_churned_fleet () =
-  let h = churn_run ~engine:Sim.Heap in
-  let c = churn_run ~engine:Sim.Calendar in
-  let _, recycled, delivered, _, _ = h in
-  check "fleet actually churned" true (recycled > 5);
-  check "fleet actually delivered" true (delivered > 1000);
-  check "heap and calendar agree on every fleet total" true (h = c)
-
 let suites =
   [
     ( "fleet",
@@ -246,7 +204,5 @@ let suites =
           test_pool_grows_past_initial_capacity;
         Alcotest.test_case "guard transparent on clean wires" `Quick
           test_guard_is_transparent_on_clean_wires;
-        Alcotest.test_case "engines agree on churned fleet" `Quick
-          test_engines_agree_on_churned_fleet;
       ] );
   ]

@@ -177,8 +177,8 @@ let record_script sp =
 (* The same script driven straight into one Bundle_pool — the legacy
    single-pool run the sharded replay must reproduce. Checks on the way
    that the recorder's shadow allocator predicted every slot id. *)
-let run_direct ~engine ops =
-  let sim = Sim.create ~engine () in
+let run_direct ops =
+  let sim = Sim.create () in
   let pool =
     Bundle_pool.create ~rng:(Rng.stream ~seed:33 0) ~sim (fleet_config ())
   in
@@ -200,19 +200,19 @@ let run_direct ~engine ops =
     Bundle_pool.total_delivered_bytes pool,
     Bundle_pool.markers_sent pool )
 
-let e2e ~engine () =
+let test_e2e () =
   let reports =
     List.map
       (fun domains ->
         let sp =
-          Sharded_pool.create ~engine ~domains ~seed:33 (fleet_config ())
+          Sharded_pool.create ~domains ~seed:33 (fleet_config ())
         in
         let ops = record_script sp in
         (ops, Sharded_pool.run sp))
       [ 1; 2; 3 ]
   in
   let ops1, r1 = List.hd reports in
-  let direct = run_direct ~engine ops1 in
+  let direct = run_direct ops1 in
   Alcotest.(check (triple int int int))
     "domains=1 equals the directly driven pool" direct
     Sharded_pool.(r1.delivered_packets, r1.delivered_bytes, r1.markers_sent);
@@ -236,38 +236,38 @@ let e2e ~engine () =
 
 (* The churn-shaped event population (dense near cluster + sparse far
    timers) that used to degenerate the calendar's span-derived bucket
-   width: with the quantile-derived width the calendar must still fire
-   the identical sequence the reference heap does. *)
+   width: with the quantile-derived width the calendar must still pop
+   the identical sequence the reference heap does. Each pop reschedules
+   one event with a fresh bimodal delay, as a fleet's timers do. *)
 let test_calendar_bimodal_equivalence () =
-  let run engine =
-    let sim = Sim.create ~engine () in
-    let rng = Rng.create 17 in
-    let next = ref 0 in
-    let log = ref [] in
-    let ops = ref 4000 in
-    let rec schedule_one () =
-      let id = !next in
-      incr next;
-      let delay =
-        if Rng.bernoulli rng ~p:0.9 then Rng.exponential rng ~mean:0.01
-        else Rng.uniform rng ~lo:1.0 ~hi:5.0
-      in
-      Sim.schedule_after sim ~delay (fun () ->
-          log := (id, Sim.now sim) :: !log;
-          if !ops > 0 then begin
-            decr ops;
-            schedule_one ()
-          end)
+  let heap = Eventq.create () and cal = Calendar_queue.create () in
+  let rng = Rng.create 17 in
+  let next = ref 0 in
+  let schedule_one ~now =
+    let delay =
+      if Rng.bernoulli rng ~p:0.9 then Rng.exponential rng ~mean:0.01
+      else Rng.uniform rng ~lo:1.0 ~hi:5.0
     in
-    for _ = 1 to 512 do
-      schedule_one ()
-    done;
-    Sim.run sim;
-    List.rev !log
+    Eventq.add heap ~time:(now +. delay) !next;
+    Calendar_queue.add cal ~time:(now +. delay) !next;
+    incr next
   in
+  for _ = 1 to 512 do
+    schedule_one ~now:0.0
+  done;
+  let ops = ref 4000 and same = ref true in
+  while not (Eventq.is_empty heap) do
+    let h = Eventq.pop heap and c = Calendar_queue.pop cal in
+    if h <> c then same := false;
+    match h with
+    | Some (now, _) when !ops > 0 ->
+      decr ops;
+      schedule_one ~now
+    | _ -> ()
+  done;
   Alcotest.(check bool)
-    "calendar fires the heap's exact sequence on a bimodal population" true
-    (run Sim.Heap = run Sim.Calendar)
+    "calendar pops the heap's exact sequence on a bimodal population" true
+    (!same && Calendar_queue.is_empty cal)
 
 let test_shard_of_bundle () =
   for domains = 1 to 5 do
@@ -295,9 +295,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_recovery_partition_merge;
         Alcotest.test_case "verdict merge" `Quick test_verdict_merge;
         Alcotest.test_case "shard assignment" `Quick test_shard_of_bundle;
-        Alcotest.test_case "e2e heap: domains 1/2/3" `Quick (e2e ~engine:Sim.Heap);
-        Alcotest.test_case "e2e calendar: domains 1/2/3" `Quick
-          (e2e ~engine:Sim.Calendar);
+        Alcotest.test_case "e2e: domains 1/2/3" `Quick test_e2e;
         Alcotest.test_case "calendar bimodal equivalence" `Quick
           test_calendar_bimodal_equivalence;
       ] );

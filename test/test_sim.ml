@@ -53,7 +53,9 @@ let test_run_until_horizon () =
 let test_run_until_advances_clock_without_events () =
   let sim = Sim.create () in
   Sim.run_until sim 10.0;
-  Alcotest.(check (float 0.0)) "clock jumps to horizon" 10.0 (Sim.now sim)
+  Alcotest.(check (float 0.0)) "clock jumps to horizon" 10.0 (Sim.now sim);
+  Sim.run_until sim infinity;
+  Alcotest.(check (float 0.0)) "infinite horizon returns" infinity (Sim.now sim)
 
 let test_stop () =
   let sim = Sim.create () in
@@ -98,6 +100,23 @@ let test_negative_delay_rejected () =
     (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
       Sim.schedule_after sim ~delay:(-1.0) (fun () -> ()))
 
+(* A NaN time would fire, turn the clock NaN and from then on make every
+   past-time check vacuous: both entry points must reject it up front. *)
+let test_nan_rejected () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Sim.schedule: time nan is before now (0)") (fun () ->
+      Sim.schedule sim ~at:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Sim.schedule_after: negative delay") (fun () ->
+      Sim.schedule_after sim ~delay:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim);
+  Sim.schedule sim ~at:1.0 (fun () -> ());
+  Sim.run sim;
+  Alcotest.check_raises "past time still rejected after a run"
+    (Invalid_argument "Sim.schedule: time 0.5 is before now (1)") (fun () ->
+      Sim.schedule sim ~at:0.5 (fun () -> ()))
+
 let suites =
   [
     ( "sim",
@@ -114,5 +133,6 @@ let suites =
           test_stop_leaves_clock_at_stop_point;
         Alcotest.test_case "step" `Quick test_step;
         Alcotest.test_case "negative delay" `Quick test_negative_delay_rejected;
+        Alcotest.test_case "NaN time or delay rejected" `Quick test_nan_rejected;
       ] );
   ]
