@@ -23,9 +23,11 @@
      exclusion window around each retune's reset barrier. Quasi-FIFO
      must hold everywhere else, so the gate demands 0.
 
-   The simulation is seeded and virtual-time only, so every number is
-   deterministic: the committed BENCH_adapt.json doubles as an exact
-   regression baseline.
+   Every run exits 1 if bound_ok, resync_ok or ooo_outside = 0 fails,
+   or if adaptation does not lower share_error below its non-adaptive
+   twin. The simulation is seeded and virtual-time only, so every
+   number is deterministic: [--check] demands that each field prints
+   exactly as in the committed BENCH_adapt.json.
 
    Usage:
      dune exec bench/exp_adapt.exe --              # full run, print table
@@ -314,70 +316,58 @@ let print_outcome o =
     (if o.bound_ok then "ok" else "VIOLATED")
     (if o.resync_ok then "ok" else "LATE")
 
-let json_of_outcome ?(tag = fun c -> c) o =
-  Printf.sprintf
-    "{\"case\":\"%s\",\"n_packets\":%d,\"delivered\":%d,\"goodput_mbps\":%.3f,\"retunes\":%d,\"share_error\":%.5f,\"bound_ok\":%b,\"ooo_total\":%d,\"ooo_outside\":%d,\"resync_probes\":%.2f,\"resync_ok\":%b}"
-    (tag o.case) o.n_packets o.delivered o.goodput_mbps o.retunes
-    o.share_error o.bound_ok o.ooo_total o.ooo_outside o.resync_probes
-    o.resync_ok
+let fields =
+  Gate.
+    [
+      int "n_packets" (fun o -> o.n_packets);
+      int "delivered" (fun o -> o.delivered);
+      float "goodput_mbps" "%.3f" (fun o -> o.goodput_mbps);
+      int "retunes" (fun o -> o.retunes);
+      float "share_error" "%.5f" (fun o -> o.share_error);
+      bool "bound_ok" (fun o -> o.bound_ok);
+      int "ooo_total" (fun o -> o.ooo_total);
+      int "ooo_outside" (fun o -> o.ooo_outside);
+      float "resync_probes" "%.2f" (fun o -> o.resync_probes);
+      bool "resync_ok" (fun o -> o.resync_ok);
+    ]
 
-(* Minimal scanner for the committed JSON (same approach as
-   exp_throughput): find "FIELD":NUMBER after a "case":"CASE" tag. *)
-let scan_number ~case ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"case\":\"%s\"" case) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+(* Live invariants, checked on every run: the scheduler bound and
+   quasi-FIFO hold in every case; an adaptive run must also have
+   resynchronized within its deadline and beat its non-adaptive twin. *)
+let invariants results =
+  List.iter
+    (fun o ->
+      if not o.bound_ok then
+        Gate.fail "%s violates the Thm 3.2 window bound" o.case;
+      if o.ooo_outside > 0 then
+        Gate.fail
+          "%s delivered %d packets out of order outside the retune exclusion \
+           windows"
+          o.case o.ooo_outside;
+      if not o.resync_ok then
+        Gate.fail
+          "%s did not finish retuning within 2 probe intervals of the rate \
+           change"
+          o.case)
+    results;
+  let err c = (List.find (fun o -> o.case = c) results).share_error in
+  List.iter
+    (fun sc ->
+      let on = err (sc ^ "-on") and off = err (sc ^ "-off") in
+      if on >= off then
+        Gate.fail
+          "%s adaptation did not improve the capacity-share error (%.4f on vs \
+           %.4f off)"
+          sc on off)
+    [ "step"; "ramp" ]
 
 let quick_tag c = c ^ "-quick"
 
 let () =
   let quick = ref false in
-  let json_out = ref None in
-  let check = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_adapt [--quick] [--json FILE] [--check FILE] (got %s)\n"
-        arg;
-      exit 2
+  let opts =
+    Gate.parse "exp_adapt" [ Gate.Switch ("--quick", fun () -> quick := true) ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
   let n_full = 20_000 and n_quick = 6_000 in
   let n_packets = if !quick then n_quick else n_full in
   Printf.printf
@@ -386,103 +376,13 @@ let () =
     marker_rounds n_packets;
   let results = run_all ~n_packets in
   List.iter print_outcome results;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    (* A full-run export also embeds the quick-size entries so the
-       committed file supports like-for-like [--quick --check] in CI. *)
-    let quick_entries =
-      if !quick then []
-      else
-        List.map (json_of_outcome ~tag:quick_tag) (run_all ~n_packets:n_quick)
-    in
-    let entries =
-      List.map
-        (json_of_outcome ~tag:(if !quick then quick_tag else fun c -> c))
-        results
-      @ quick_entries
-    in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"4ch 10Mbps SRR markers=4 resequencer bimodal; ch0 \
-       to 5Mbps mid-run\",\n\
-      \  \"cases\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check with
-  | None -> ()
-  | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with \
-         --json %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
-    (* Live invariants first: the scheduler bound and quasi-FIFO hold in
-       every case; an adaptive run must also have resynchronized within
-       its two-probe deadline and beat its non-adaptive twin. *)
-    List.iter
-      (fun o ->
-        if not o.bound_ok then begin
-          Printf.eprintf "  FAIL: %s violates the Thm 3.2 window bound\n"
-            o.case;
-          fail := true
-        end;
-        if o.ooo_outside > 0 then begin
-          Printf.eprintf
-            "  FAIL: %s delivered %d packets out of order outside the \
-             retune exclusion windows\n"
-            o.case o.ooo_outside;
-          fail := true
-        end;
-        if not o.resync_ok then begin
-          Printf.eprintf
-            "  FAIL: %s did not finish retuning within 2 probe intervals \
-             of the rate change\n"
-            o.case;
-          fail := true
-        end)
-      results;
-    let err c = (List.find (fun o -> o.case = c) results).share_error in
-    List.iter
-      (fun sc ->
-        if err (sc ^ "-on") >= err (sc ^ "-off") then begin
-          Printf.eprintf
-            "  FAIL: %s adaptation did not improve the capacity-share \
-             error (%.4f on vs %.4f off)\n"
-            sc
-            (err (sc ^ "-on"))
-            (err (sc ^ "-off"));
-          fail := true
-        end)
-      [ "step"; "ramp" ];
-    (* Regression vs the committed baseline: deterministic virtual-time
-       numbers, so allow only float-formatting slack. *)
-    List.iter
-      (fun o ->
-        let tag = if !quick then quick_tag o.case else o.case in
-        match scan_number ~case:tag ~field:"share_error" file with
-        | None ->
-          Printf.eprintf
-            "  FAIL: no committed \"share_error\" entry for case \"%s\" in \
-             %s — regenerate the baseline with --json\n"
-            tag file;
-          fail := true
-        | Some committed ->
-          let ceiling = (committed *. 1.10) +. 0.005 in
-          Printf.printf
-            "  check %-15s share-err %.4f vs committed %.4f (ceiling %.4f)\n"
-            tag o.share_error committed ceiling;
-          if o.share_error > ceiling then begin
-            Printf.eprintf
-              "  FAIL: %s share error regressed (%.4f > %.4f)\n" tag
-              o.share_error ceiling;
-            fail := true
-          end)
-      results;
-    if !fail then exit 1 else Printf.printf "  check passed\n%!"
+  invariants results;
+  let tagged tag = List.map (fun o -> (tag o.case, o)) in
+  let current = tagged (if !quick then quick_tag else Fun.id) results in
+  Gate.emit opts ~key:"case"
+    ~scenario:"4ch 10Mbps SRR markers=4 resequencer bimodal; ch0 to 5Mbps mid-run"
+    ~array:"cases"
+    ~more:(fun () ->
+      if !quick then [] else tagged quick_tag (run_all ~n_packets:n_quick))
+    fields current;
+  Gate.finish ()

@@ -579,100 +579,101 @@ let print_run r =
     r.avail_mean r.avail_min r.inversions r.wd_dead r.quarantines r.violations
     r.health_violations r.conservation_failures
 
-let json_of_run r =
-  Printf.sprintf
-    "{\"run\":\"%s\",\"seed\":%d,\"bundles\":%d,\"chaos_events\":%d,\"delivered\":%d,\"carrier_drops\":%d,\"crashes\":%d,\"restarts\":%d,\"crashed_endpoints\":%d,\"recovered\":%d,\"mttr_ms\":%.3f,\"avail_mean\":%.5f,\"avail_min\":%.5f,\"inversions\":%d,\"violations\":%d,\"conservation_failures\":%d,\"watchdog_dead\":%d,\"quarantines\":%d,\"health_violations\":%d}"
-    r.tag r.seed r.bundles r.chaos_events r.delivered r.carrier_drops r.crashes
-    r.restarts r.crashed_endpoints r.recovered r.mttr_ms r.avail_mean
-    r.avail_min r.inversions r.violations r.conservation_failures r.wd_dead
-    r.quarantines r.health_violations
+let fields =
+  Gate.
+    [
+      int "seed" (fun r -> r.seed);
+      int "bundles" (fun r -> r.bundles);
+      int "chaos_events" (fun r -> r.chaos_events);
+      int "delivered" (fun r -> r.delivered);
+      int "carrier_drops" (fun r -> r.carrier_drops);
+      int "crashes" (fun r -> r.crashes);
+      int "restarts" (fun r -> r.restarts);
+      int "crashed_endpoints" (fun r -> r.crashed_endpoints);
+      int "recovered" (fun r -> r.recovered);
+      float "mttr_ms" "%.3f" (fun r -> r.mttr_ms);
+      float "avail_mean" "%.5f" (fun r -> r.avail_mean);
+      float "avail_min" "%.5f" (fun r -> r.avail_min);
+      int "inversions" (fun r -> r.inversions);
+      int "violations" (fun r -> r.violations);
+      int "conservation_failures" (fun r -> r.conservation_failures);
+      int "watchdog_dead" (fun r -> r.wd_dead);
+      int "quarantines" (fun r -> r.quarantines);
+      int "health_violations" (fun r -> r.health_violations);
+    ]
+
+(* The liveness monitor must fire when quarantines zero the live
+   membership, and shadow reinstatements back out. No simulation: drive
+   the event stream directly. *)
+let health_selftest () =
+  let mon = Monitor.create ~live_channels:n_channels () in
+  let sink = Monitor.sink mon in
+  let ev kind c t =
+    Stripe_obs.Sink.emit sink
+      (Stripe_obs.Event.v ~channel:c ~size:0 ~seq:0 ~time:t kind)
+  in
+  for c = 0 to n_channels - 2 do
+    ev Stripe_obs.Event.Quarantine c (float_of_int c)
+  done;
+  if Monitor.violations mon <> 0 then begin
+    Printf.eprintf "  FAIL: liveness monitor fired with one live channel left\n";
+    exit 1
+  end;
+  ev Stripe_obs.Event.Reinstate 0 10.0;
+  ev Stripe_obs.Event.Quarantine 0 11.0;
+  ev Stripe_obs.Event.Quarantine (n_channels - 1) 12.0;
+  if Monitor.violations mon <> 1 then begin
+    Printf.eprintf
+      "  FAIL: liveness monitor missed a membership-zeroing quarantine (saw \
+       %d violations)\n"
+      (Monitor.violations mon);
+    exit 1
+  end;
+  Printf.printf
+    "exp_chaos: health-monitor self-test passed — %d quarantines tolerated \
+     with a live member, the zeroing one caught\n"
+    n_channels;
+  exit 0
 
 let () =
   let quick = ref false in
   let bundles = ref None in
   let seed = ref None in
-  let json_out = ref None in
   let inject = ref false in
   let profile_filter = ref None in
   let domains = ref 1 in
   let discipline = ref Bundle_pool.Srr in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--bundles" :: v :: rest ->
-      bundles := Some (int_of_string v);
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := Sharded_pool.resolve_domains (int_of_string v);
-      parse rest
-    | "--seed" :: v :: rest ->
-      seed := Some (int_of_string v);
-      parse rest
-    | "--profile" :: v :: rest ->
-      profile_filter := Some v;
-      parse rest
-    | "--discipline" :: v :: rest ->
-      (discipline :=
-         match v with
-         | "srr" -> Bundle_pool.Srr
-         | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
-         | "load-aware" -> Bundle_pool.Load_aware
-         | _ ->
-           Printf.eprintf
-             "unknown discipline %S (want srr|sprinklers|load-aware)\n" v;
-           exit 2);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--inject-violation" :: rest ->
-      inject := true;
-      parse rest
-    | "--health-selftest" :: _ ->
-      (* The liveness monitor must fire when quarantines zero the live
-         membership, and shadow reinstatements back out. No simulation:
-         drive the event stream directly. *)
-      let mon = Monitor.create ~live_channels:n_channels () in
-      let sink = Monitor.sink mon in
-      let ev kind c t =
-        Stripe_obs.Sink.emit sink
-          (Stripe_obs.Event.v ~channel:c ~size:0 ~seq:0 ~time:t kind)
-      in
-      for c = 0 to n_channels - 2 do
-        ev Stripe_obs.Event.Quarantine c (float_of_int c)
-      done;
-      if Monitor.violations mon <> 0 then begin
-        Printf.eprintf
-          "  FAIL: liveness monitor fired with one live channel left\n";
-        exit 1
-      end;
-      ev Stripe_obs.Event.Reinstate 0 10.0;
-      ev Stripe_obs.Event.Quarantine 0 11.0;
-      ev Stripe_obs.Event.Quarantine (n_channels - 1) 12.0;
-      if Monitor.violations mon <> 1 then begin
-        Printf.eprintf
-          "  FAIL: liveness monitor missed a membership-zeroing quarantine \
-           (saw %d violations)\n"
-          (Monitor.violations mon);
-        exit 1
-      end;
-      Printf.printf
-        "exp_chaos: health-monitor self-test passed — %d quarantines tolerated \
-         with a live member, the zeroing one caught\n"
-        n_channels;
-      exit 0
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_chaos [--quick] [--bundles N] [--seed S] [--profile \
-         storms|crashes|degrades|mixed] [--discipline \
-         srr|sprinklers|load-aware] [--domains N] [--json FILE] \
-         [--inject-violation] [--health-selftest] (got %s)\n"
-        arg;
-      exit 2
+  let opts =
+    Gate.parse ~check:false "exp_chaos"
+      [
+        Gate.Switch ("--quick", fun () -> quick := true);
+        Gate.Value ("--bundles", "N", fun v -> bundles := Some (int_of_string v));
+        Gate.Value ("--seed", "S", fun v -> seed := Some (int_of_string v));
+        Gate.Value
+          ( "--profile",
+            "storms|crashes|degrades|mixed",
+            fun v -> profile_filter := Some v );
+        Gate.Value
+          ( "--discipline",
+            "srr|sprinklers|load-aware",
+            fun v ->
+              discipline :=
+                match v with
+                | "srr" -> Bundle_pool.Srr
+                | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
+                | "load-aware" -> Bundle_pool.Load_aware
+                | _ ->
+                  Printf.eprintf
+                    "unknown discipline %S (want srr|sprinklers|load-aware)\n" v;
+                  exit 2 );
+        Gate.Value
+          ( "--domains",
+            "N",
+            fun v -> domains := Sharded_pool.resolve_domains (int_of_string v) );
+        Gate.Switch ("--inject-violation", fun () -> inject := true);
+        Gate.Switch ("--health-selftest", health_selftest);
+      ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
   let seeds = match !seed with Some s -> [ s ] | None -> [ 11; 23; 42 ] in
   let profiles =
     match !profile_filter with
@@ -748,19 +749,15 @@ let () =
         r)
       cells
   in
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"chaos soak: 4ch SRR fleet, seeded storms + endpoint \
-       crashes, monitors on\",\n\
-      \  \"runs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_run runs));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
+  Option.iter
+    (fun file ->
+      Gate.write file
+        ~scenario:
+          "chaos soak: 4ch SRR fleet, seeded storms + endpoint crashes, \
+           monitors on"
+        ~array:"runs"
+        (List.map (fun r -> Gate.row ~key:"run" ~tag:r.tag fields r) runs))
+    opts.json;
   let failures = List.filter (fun r -> r.failure <> None) runs in
   if failures <> [] then begin
     List.iter

@@ -41,11 +41,12 @@
 
      dune exec bench/exp_disciplines.exe --                  # table
      dune exec bench/exp_disciplines.exe -- --json FILE      # baseline
-     dune exec bench/exp_disciplines.exe -- --check FILE [--max-regress F]
-       # exit 1 if delivery or resync regresses more than F (default
-       # 0.05) against FILE, or the Sprinklers acceptance bar fails:
-       # strictly lower clean-scenario arrival reorder depth than SRR
-       # at equal (±2%) goodput. *)
+     dune exec bench/exp_disciplines.exe -- --check FILE
+       # exit 1 unless every field prints exactly as committed in FILE
+
+   Every run, checked or not, exits 1 if the Sprinklers acceptance bar
+   fails: strictly lower clean-scenario arrival reorder depth than SRR
+   at equal (±2%) goodput. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -122,8 +123,6 @@ end
 
 type result = {
   slug : string;  (* "<discipline>_<scenario>" *)
-  disc_label : string;
-  scen_label : string;
   fairness : int;  (* analytic bound, bytes; -1 = not bounded *)
   delivered : int;
   goodput_mbps : float;
@@ -322,8 +321,6 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
   in
   {
     slug = disc_slug ^ "_" ^ scen_slug;
-    disc_label = disc_slug;
-    scen_label = scen_slug;
     fairness =
       (match engine_opt with
       | Some e -> Srr.fairness_bound e
@@ -337,34 +334,20 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
     resync_ms;
   }
 
-let fmt_ms v = if v < 0.0 then "n/a" else Printf.sprintf "%.1f" v
-let fmt_bound v = if v < 0 then "n/a" else Printf.sprintf "%dB" v
+let fields =
+  Gate.
+    [
+      int "fairness" (fun r -> r.fairness);
+      int "delivered" (fun r -> r.delivered);
+      float "goodput_mbps" "%.4f" (fun r -> r.goodput_mbps);
+      int "depth_max" (fun r -> r.depth_max);
+      int "depth_p99" (fun r -> r.depth_p99);
+      int "inversions" (fun r -> r.inversions);
+      float "resync_ms" "%.3f" (fun r -> r.resync_ms);
+    ]
 
-let print_table results =
-  let tbl =
-    Stripe_metrics.Table.create ~title:"Striping disciplines"
-      ~columns:
-        [
-          "discipline"; "scenario"; "fair bound"; "delivered"; "goodput";
-          "depth max"; "depth p99"; "inversions"; "resync (ms)";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Stripe_metrics.Table.add_row tbl
-        [
-          r.disc_label;
-          r.scen_label;
-          fmt_bound r.fairness;
-          string_of_int r.delivered;
-          Printf.sprintf "%.2f Mbps" r.goodput_mbps;
-          string_of_int r.depth_max;
-          string_of_int r.depth_p99;
-          string_of_int r.inversions;
-          fmt_ms r.resync_ms;
-        ])
-    results;
-  Stripe_metrics.Table.print tbl;
+let print_table rows =
+  Gate.table ~title:"Striping disciplines" ~key:"config" fields rows;
   print_endline
     "Engine disciplines (srr/rr/grr/sprinklers) resequence: inversions stay 0";
   print_endline
@@ -382,45 +365,6 @@ let print_table results =
   print_endline
     "wire busy (goodput) but surrenders ordering entirely - the depth and";
   print_endline "inversion columns price that trade.\n"
-
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"fairness\":%d,\"delivered\":%d,\"goodput_mbps\":%.4f,\"depth_max\":%d,\"depth_p99\":%d,\"inversions\":%d,\"resync_ms\":%.3f}"
-    r.slug r.fairness r.delivered r.goodput_mbps r.depth_max r.depth_p99
-    r.inversions r.resync_ms
-
-(* Minimal committed-JSON scanner (same as exp_impair): find
-   "FIELD":NUMBER after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
 
 (* The Sprinklers acceptance bar, enforced on every run: on the bursty
    clean scenario it must beat SRR's arrival reorder depth strictly, at
@@ -440,89 +384,11 @@ let acceptance results =
     (if ok_depth then "<" else ">=")
     srr.depth_max spr.goodput_mbps srr.goodput_mbps
     (if ok_depth && ok_goodput then "ok" else "FAIL");
-  ok_depth && ok_goodput
-
-let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json \
-       %s and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf
-        "  check %-24s %-12s %10.3f vs committed %10.3f (floor %.3f)\n" slug
-        what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then ()
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-24s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n"
-        slug what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
-  List.iter
-    (fun r ->
-      check_lower r.slug "delivered" (float_of_int r.delivered)
-        (lookup r.slug "delivered");
-      check_time r.slug "resync_ms" r.resync_ms (lookup r.slug "resync_ms"))
-    results;
-  if not (acceptance results) then fail := true;
-  if !fail then exit 1
+  if not (ok_depth && ok_goodput) then
+    Gate.fail "sprinklers misses the acceptance bar against srr"
 
 let () =
-  let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_disciplines [--json FILE] [--check FILE] [--max-regress \
-         F] (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let opts = Gate.parse "exp_disciplines" [] in
   print_endline
     "Striping disciplines - 3 x 10 Mbps, delays 8/1/4 ms, bursty source (6 x \
      1000 B trains every 12 ms), scenarios clean/impair/failover/health";
@@ -531,23 +397,12 @@ let () =
       (fun d -> List.map (fun s -> run_cell d s) scenarios)
       disciplines
   in
-  print_table results;
-  (match !check_file with
-  | Some _ -> ()
-  | None -> ignore (acceptance results));
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"disciplines: 3x10Mbps delays 8/1/4ms, bursty 6x1000B \
-       trains every 12ms, scenarios clean/impair/failover/health\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+  let rows = List.map (fun r -> (r.slug, r)) results in
+  print_table rows;
+  acceptance results;
+  Gate.emit opts ~key:"config"
+    ~scenario:
+      "disciplines: 3x10Mbps delays 8/1/4ms, bursty 6x1000B trains every \
+       12ms, scenarios clean/impair/failover/health"
+    ~array:"configs" fields rows;
+  Gate.finish ()

@@ -23,9 +23,8 @@
 
      dune exec bench/exp_failover.exe --                  # table
      dune exec bench/exp_failover.exe -- --json FILE      # machine output
-     dune exec bench/exp_failover.exe -- --check FILE [--max-regress F]
-       # exit 1 if availability drops, or failback/resync regress,
-       # more than F (default 0.05) against FILE's committed numbers *)
+     dune exec bench/exp_failover.exe -- --check FILE
+       # exit 1 unless every field prints exactly as committed in FILE *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -108,7 +107,6 @@ let drive rig =
 
 type result = {
   slug : string;
-  label : string;
   delivered : int;
   ooo : int;
   wd_skips : int;
@@ -120,13 +118,13 @@ type result = {
 
 let configs =
   [
-    ("full", "sender-aware + watchdog", true, true);
-    ("sender_aware", "sender-aware", true, false);
-    ("watchdog", "receiver watchdog", false, true);
-    ("unprotected", "unprotected", false, false);
+    ("full", true, true);
+    ("sender_aware", true, false);
+    ("watchdog", false, true);
+    ("unprotected", false, false);
   ]
 
-let run_config (slug, label, sender_aware, with_wd) =
+let run_config (slug, sender_aware, with_wd) =
   let watchdog =
     if with_wd then Some { Resequencer.intervals = 3; fallback = 0.01 }
     else None
@@ -150,7 +148,6 @@ let run_config (slug, label, sender_aware, with_wd) =
   in
   {
     slug;
-    label;
     delivered = Stripe_metrics.Recovery.deliveries rig.recovery;
     ooo = Reorder.out_of_order rig.reorder;
     wd_skips = Resequencer.watchdog_skips rig.reseq;
@@ -165,32 +162,20 @@ let run_config (slug, label, sender_aware, with_wd) =
         ~until_:run_until ~bucket:0.01;
   }
 
-let fmt_ms v = if v < 0.0 then "never" else Printf.sprintf "%.1f" v
+let fields =
+  Gate.
+    [
+      int "delivered" (fun r -> r.delivered);
+      int "ooo" (fun r -> r.ooo);
+      int "wd_skips" (fun r -> r.wd_skips);
+      float "longest_outage_ms" "%.3f" (fun r -> r.longest_outage_ms);
+      float "failback_ms" "%.3f" (fun r -> r.failback_ms);
+      float "resync_ms" "%.3f" (fun r -> r.resync_ms);
+      float "availability" "%.4f" (fun r -> r.availability);
+    ]
 
-let print_table results =
-  let tbl =
-    Stripe_metrics.Table.create ~title:"Protection configurations"
-      ~columns:
-        [
-          "configuration"; "delivered"; "ooo"; "wd skips";
-          "longest outage (ms)"; "failback (ms)"; "resync (ms)"; "avail";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Stripe_metrics.Table.add_row tbl
-        [
-          r.label;
-          string_of_int r.delivered;
-          string_of_int r.ooo;
-          string_of_int r.wd_skips;
-          Printf.sprintf "%.1f" r.longest_outage_ms;
-          fmt_ms r.failback_ms;
-          fmt_ms r.resync_ms;
-          Printf.sprintf "%.1f%%" (100.0 *. r.availability);
-        ])
-    results;
-  Stripe_metrics.Table.print tbl;
+let print_table rows =
+  Gate.table ~title:"Protection configurations" ~key:"config" fields rows;
   print_endline
     "Full protection needs both ends. Sender-side suspension alone keeps";
   print_endline
@@ -206,154 +191,16 @@ let print_table results =
   print_endline "(quasi-FIFO). Combined, the survivors carry everything and delivery";
   print_endline "never reorders.\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"delivered\":%d,\"ooo\":%d,\"wd_skips\":%d,\"longest_outage_ms\":%.3f,\"failback_ms\":%.3f,\"resync_ms\":%.3f,\"availability\":%.4f}"
-    r.slug r.delivered r.ooo r.wd_skips r.longest_outage_ms r.failback_ms
-    r.resync_ms r.availability
-
-(* Same minimal committed-JSON scanner as exp_fleet: find "FIELD":NUMBER
-   after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
-
-(* The run is virtual-time deterministic, so a tight default tolerance
-   holds; the slack absorbs deliberate small protocol changes without
-   baseline churn. Recovery times get 1 ms absolute headroom on top so
-   a 0 ms committed value does not demand exact zeros forever. *)
-let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json %s \
-       and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf "  check %-13s %-12s %10.3f vs committed %10.3f (floor %.3f)\n"
-        slug what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then begin
-      (* Committed "never": coming back at all is an improvement. *)
-      Printf.printf "  check %-13s %-12s %10s vs committed never\n" slug what
-        (fmt_ms current)
-    end
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-13s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n" slug
-        what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
-  List.iter
-    (fun r ->
-      check_lower r.slug "availability" r.availability
-        (lookup r.slug "availability");
-      check_lower r.slug "delivered" (float_of_int r.delivered)
-        (lookup r.slug "delivered");
-      check_time r.slug "failback_ms" r.failback_ms
-        (lookup r.slug "failback_ms");
-      check_time r.slug "resync_ms" r.resync_ms (lookup r.slug "resync_ms"))
-    results;
-  if !fail then exit 1
-
 let () =
-  let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_failover [--json FILE] [--check FILE] [--max-regress F] \
-         (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let opts = Gate.parse "exp_failover" [] in
   print_endline
     "Failover - member down at 1.0 s, back at 2.0 s (3 x 10 Mbps SRR, markers \
      every 4 rounds)";
-  let results = List.map run_config configs in
-  print_table results;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"failover: 3x10Mbps SRR markers=4, member 1 down \
-       1.0-2.0s, 80%% offered load\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+  let rows = List.map (fun r -> (r.slug, r)) (List.map run_config configs) in
+  print_table rows;
+  Gate.emit opts ~key:"config"
+    ~scenario:
+      "failover: 3x10Mbps SRR markers=4, member 1 down 1.0-2.0s, 80% offered \
+       load"
+    ~array:"configs" fields rows;
+  Gate.finish ()

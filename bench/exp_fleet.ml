@@ -35,12 +35,13 @@
      dune exec bench/exp_fleet.exe -- --bundles 50000  # custom fleet
      dune exec bench/exp_fleet.exe -- --domains 4      # 4 shards (0 = auto)
      dune exec bench/exp_fleet.exe -- --json FILE      # machine output
-     dune exec bench/exp_fleet.exe -- --check FILE --max-regress 0.30
+     dune exec bench/exp_fleet.exe -- --check FILE
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, or if the protocol aggregates (delivered, markers,
-       # share p50/p99) drift from the committed single-domain anchor —
-       # the latter holds for every --domains N, so a multicore run is
-       # gated on aggregate equality, not wall-clock.
+       # numbers, or if the protocol aggregates (bundles, peak live,
+       # delivered, markers, share p50/p99, simulated seconds) differ
+       # from the committed single-domain anchor — the latter holds for
+       # every --domains N, so a multicore run is gated on aggregate
+       # equality, not wall-clock.
 
    Like exp_throughput, the scenario runs [--repeat] times and the
    fastest run is reported (wall-clock noise is one-sided); the
@@ -239,6 +240,28 @@ let run_once ~total_bundles ~domains () =
 let tag ~quick = if quick then "calendar-quick" else "calendar"
 let domain_tag domains tag = Printf.sprintf "%s-d%d" tag domains
 
+(* Everything but wall-clock is seed-deterministic and independent of
+   the domain count, so it is gated exactly against the single-domain
+   anchor; pps gets a floor on single-domain runs only (CI runners may
+   be single-core, so a sharded run's pps is not comparable). *)
+let fields ~domains =
+  Gate.
+    [
+      int ~kind:Report "domains" (fun r -> r.domains);
+      int "bundles" (fun r -> r.bundles);
+      int "peak_live" (fun r -> r.peak_live);
+      int "delivered" (fun r -> r.delivered);
+      int "markers" (fun r -> r.markers);
+      float ~kind:Report "wall_s" "%.4f" (fun r -> r.wall_s);
+      float
+        ~kind:(if domains = 1 then Floor else Report)
+        "pps" "%.1f"
+        (fun r -> r.pps);
+      float "share_p50" "%.4f" (fun r -> r.share_p50);
+      float "share_p99" "%.4f" (fun r -> r.share_p99);
+      float "sim_seconds" "%.4f" (fun r -> r.sim_seconds);
+    ]
+
 let json_of_shard (s : Sharded_pool.shard_report) =
   Printf.sprintf
     "{\"shard\":%d,\"slots\":%d,\"generations\":%d,\"delivered\":%d,\"markers\":%d,\"wall_s\":%.4f}"
@@ -247,17 +270,16 @@ let json_of_shard (s : Sharded_pool.shard_report) =
     s.Sharded_pool.wall_s
 
 let json_of_result ~tag r =
-  let shard_part =
-    if r.domains = 1 then ""
+  let extra =
+    if r.domains = 1 then []
     else
-      Printf.sprintf ",\"efficiency\":%.3f,\"shards\":[%s]" r.efficiency
-        (String.concat ","
-           (Array.to_list (Array.map json_of_shard r.shards)))
+      [
+        Printf.sprintf "\"efficiency\":%.3f" r.efficiency;
+        Printf.sprintf "\"shards\":[%s]"
+          (String.concat "," (Array.to_list (Array.map json_of_shard r.shards)));
+      ]
   in
-  Printf.sprintf
-    "{\"engine\":\"%s\",\"domains\":%d,\"bundles\":%d,\"peak_live\":%d,\"delivered\":%d,\"markers\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"share_p50\":%.4f,\"share_p99\":%.4f,\"sim_seconds\":%.4f%s}"
-    tag r.domains r.bundles r.peak_live r.delivered r.markers
-    r.wall_s r.pps r.share_p50 r.share_p99 r.sim_seconds shard_part
+  Gate.row ~key:"engine" ~tag ~extra (fields ~domains:r.domains) r
 
 let print_result ~tag r =
   Printf.printf
@@ -281,46 +303,8 @@ let print_result ~tag r =
       (100.0 *. r.efficiency)
   end
 
-(* Same minimal committed-JSON scanner as exp_throughput: find
-   "FIELD":NUMBER after an "engine":"ENGINE" tag. *)
-let scan_number ~engine ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"engine\":\"%s\"" engine) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
-
 let best_of ~repeat ~total_bundles ~domains () =
-  let best = ref (run_once ~total_bundles ~domains ()) in
-  for _ = 2 to repeat do
-    let r = run_once ~total_bundles ~domains () in
-    if r.pps > !best.pps then best := r
-  done;
-  !best
+  Gate.best_of ~repeat ~pps:(fun r -> r.pps) (run_once ~total_bundles ~domains)
 
 let quick_bundles = 10_000
 let full_bundles = 25_000
@@ -328,42 +312,20 @@ let full_bundles = 25_000
 let () =
   let quick = ref false in
   let bundles = ref None in
-  let json_out = ref None in
-  let check = ref None in
-  let max_regress = ref 0.30 in
   let repeat = ref 3 in
   let domains = ref 1 in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--bundles" :: v :: rest ->
-      bundles := Some (int_of_string v);
-      parse rest
-    | "--repeat" :: v :: rest ->
-      repeat := max 1 (int_of_string v);
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := Sharded_pool.resolve_domains (int_of_string v);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_fleet [--quick] [--bundles N] [--repeat N] [--domains N] \
-         [--json FILE] [--check FILE] [--max-regress F] (got %s)\n"
-        arg;
-      exit 2
+  let opts =
+    Gate.parse "exp_fleet"
+      [
+        Gate.Switch ("--quick", fun () -> quick := true);
+        Gate.Value ("--bundles", "N", fun v -> bundles := Some (int_of_string v));
+        Gate.Value ("--repeat", "N", fun v -> repeat := max 1 (int_of_string v));
+        Gate.Value
+          ( "--domains",
+            "N",
+            fun v -> domains := Sharded_pool.resolve_domains (int_of_string v) );
+      ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
   let domains = !domains in
   let total_bundles =
     match !bundles with
@@ -388,102 +350,28 @@ let () =
     if r.domains = 1 then anchor else domain_tag r.domains anchor
   in
   print_result ~tag:anchor r;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    (* A full-run export also measures and embeds the quick size, so the
-       committed file supports like-for-like [--quick --check] in CI. *)
-    let quick_entries =
-      if !quick then []
-      else
-        let q =
-          best_of ~repeat:!repeat ~total_bundles:quick_bundles ~domains ()
-        in
-        [ json_of_result ~tag:(entry_tag ~anchor:(tag ~quick:true) q) q ]
-    in
-    let entries =
-      json_of_result ~tag:(entry_tag ~anchor r) r :: quick_entries
-    in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"bundle-pool fleet, 4ch SRR markers=4, poisson churn \
-       2000/s life 0.5s, 100k pps offered\",\n\
-      \  \"bundles\": %d,\n\
-      \  \"engines\": [\n    %s\n  ]\n\
-       }\n"
-      total_bundles
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check with
-  | None -> ()
-  | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with --json \
-         %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
-    (* Wall-clock gate: single-domain only (CI runners may be
-       single-core, so a sharded run's pps is not comparable). *)
-    (if r.domains = 1 then
-       match scan_number ~engine:anchor ~field:"pps" file with
-       | None ->
-         Printf.eprintf
-           "  FAIL: no committed \"pps\" entry for engine \"%s\" in %s — \
-            regenerate the baseline with --json\n"
-           anchor file;
-         fail := true
-       | Some committed ->
-         let floor = committed *. (1.0 -. !max_regress) in
-         Printf.printf
-           "  check %-16s %.0f pps vs committed %.0f (floor %.0f)\n" anchor
-           r.pps committed floor;
-         if r.pps < floor then begin
-           Printf.eprintf
-             "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n"
-             anchor
-             (100.0 *. !max_regress)
-             r.pps floor;
-           fail := true
-         end);
-    (* Determinism gate: the protocol aggregates must equal the
-       committed single-domain anchor — for every domain count. *)
-    let eq_int field actual =
-      match scan_number ~engine:anchor ~field file with
-      | None -> ()
-      | Some committed ->
-        if float_of_int actual <> committed then begin
-          Printf.eprintf
-            "  FAIL: %s (domains=%d): \"%s\" %d differs from committed \
-             anchor %.0f\n"
-            anchor r.domains field actual committed;
-          fail := true
-        end
-    in
-    let eq_float field actual =
-      match scan_number ~engine:anchor ~field file with
-      | None -> ()
-      | Some committed ->
-        (* The committed JSON rounds to 4 decimals. *)
-        if Float.abs (actual -. committed) > 5e-5 then begin
-          Printf.eprintf
-            "  FAIL: %s (domains=%d): \"%s\" %.4f differs from committed \
-             anchor %.4f\n"
-            anchor r.domains field actual committed;
-          fail := true
-        end
-    in
-    eq_int "delivered" r.delivered;
-    eq_int "markers" r.markers;
-    eq_float "share_p50" r.share_p50;
-    eq_float "share_p99" r.share_p99;
-    if r.domains > 1 then
-      Printf.printf
-        "  check %-16s domains=%d aggregates match the single-domain \
-         anchor\n"
-        anchor r.domains;
-    if !fail then exit 1
+  Option.iter
+    (fun file ->
+      (* A full-run export also measures and embeds the quick size, so the
+         committed file supports like-for-like [--quick --check] in CI. *)
+      let quick_rows =
+        if !quick then []
+        else
+          let q =
+            best_of ~repeat:!repeat ~total_bundles:quick_bundles ~domains ()
+          in
+          [ json_of_result ~tag:(entry_tag ~anchor:(tag ~quick:true) q) q ]
+      in
+      Gate.write file
+        ~scenario:
+          "bundle-pool fleet, 4ch SRR markers=4, poisson churn 2000/s life \
+           0.5s, 100k pps offered"
+        ~header:[ ("bundles", string_of_int total_bundles) ]
+        ~array:"engines"
+        (json_of_result ~tag:(entry_tag ~anchor r) r :: quick_rows))
+    opts.json;
+  Option.iter
+    (fun file ->
+      Gate.check file ~key:"engine" (fields ~domains:r.domains) [ (anchor, r) ])
+    opts.check;
+  Gate.finish ()

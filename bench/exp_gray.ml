@@ -34,9 +34,8 @@
 
      dune exec bench/exp_gray.exe --                  # table
      dune exec bench/exp_gray.exe -- --json FILE      # machine output
-     dune exec bench/exp_gray.exe -- --check FILE [--max-regress F]
-       # exit 1 if delivery/goodput drop, or detection latency
-       # regresses, more than F (default 0.05) against FILE *)
+     dune exec bench/exp_gray.exe -- --check FILE
+       # exit 1 unless every field prints exactly as committed in FILE *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -228,43 +227,32 @@ let run_config ~gray ~watchdog ~with_health () =
     violations = Stripe_obs.Monitor.violations monitor;
   }
 
-type result = { slug : string; label : string; retained : float; o : outcome }
+type result = { slug : string; retained : float; o : outcome }
 
 let configs =
   [
-    ("clean", "clean baseline (no gray)", false, false, false);
-    ("none", "no protection", true, false, false);
-    ("watchdog", "receiver watchdog", true, true, false);
-    ("health", "health engine + watchdog", true, true, true);
+    ("clean", false, false, false);
+    ("none", true, false, false);
+    ("watchdog", true, true, false);
+    ("health", true, true, true);
   ]
 
-let fmt_ms v = if v < 0.0 then "never" else Printf.sprintf "%.1f" v
+let fields =
+  Gate.
+    [
+      int "delivered" (fun r -> r.o.delivered);
+      float "retained" "%.4f" (fun r -> r.retained);
+      int "ooo" (fun r -> r.o.ooo);
+      int "wd_skips" (fun r -> r.o.wd_skips);
+      int "quarantines" (fun r -> r.o.quarantines);
+      int "flaps" (fun r -> r.o.flaps);
+      float "detect_ms" "%.3f" (fun r -> r.o.detect_ms);
+      int "deferred" (fun r -> r.o.deferred);
+      int "violations" (fun r -> r.o.violations);
+    ]
 
-let print_table results =
-  let tbl =
-    Stripe_metrics.Table.create ~title:"Gray-failure protection"
-      ~columns:
-        [
-          "configuration"; "delivered"; "goodput"; "ooo"; "wd skips"; "quar";
-          "flaps"; "detect (ms)"; "viol";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Stripe_metrics.Table.add_row tbl
-        [
-          r.label;
-          string_of_int r.o.delivered;
-          Printf.sprintf "%.1f%%" (100.0 *. r.retained);
-          string_of_int r.o.ooo;
-          string_of_int r.o.wd_skips;
-          string_of_int r.o.quarantines;
-          string_of_int r.o.flaps;
-          fmt_ms r.o.detect_ms;
-          string_of_int r.o.violations;
-        ])
-    results;
-  Stripe_metrics.Table.print tbl;
+let print_table rows =
+  Gate.table ~title:"Gray-failure protection" ~key:"config" fields rows;
   print_endline
     "A gray member defeats fail-stop protection: carrier never drops, so";
   print_endline
@@ -287,179 +275,44 @@ let print_table results =
     "quantum back. The last-live-channel guard and the liveness monitor";
   print_endline "agree throughout: the bundle never heals itself to death.\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"delivered\":%d,\"retained\":%.4f,\"ooo\":%d,\"wd_skips\":%d,\"quarantines\":%d,\"flaps\":%d,\"detect_ms\":%.3f,\"deferred\":%d,\"violations\":%d}"
-    r.slug r.o.delivered r.retained r.o.ooo r.o.wd_skips r.o.quarantines
-    r.o.flaps r.o.detect_ms r.o.deferred r.o.violations
-
-(* Same minimal committed-JSON scanner as exp_failover: find
-   "FIELD":NUMBER after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
-
-let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json %s \
-       and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf
-        "  check %-10s %-12s %10.3f vs committed %10.3f (floor %.3f)\n" slug
-        what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then
-      Printf.printf "  check %-10s %-12s %10s vs committed never\n" slug what
-        (fmt_ms current)
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-10s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n" slug
-        what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
-  List.iter
-    (fun r ->
-      check_lower r.slug "delivered" (float_of_int r.o.delivered)
-        (lookup r.slug "delivered");
-      check_lower r.slug "retained" r.retained (lookup r.slug "retained");
-      check_time r.slug "detect_ms" r.o.detect_ms (lookup r.slug "detect_ms"))
-    results;
-  if !fail then exit 1
-
 let () =
-  let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_gray [--json FILE] [--check FILE] [--max-regress F] (got \
-         %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let opts = Gate.parse "exp_gray" [] in
   print_endline
     "Gray failure - channel 1 at ~45% bursty loss 1.0-3.0 s, carrier up (3 x \
      10 Mbps SRR, markers every 4 rounds)";
   let results =
     let raw =
       List.map
-        (fun (slug, label, gray, watchdog, with_health) ->
-          (slug, label, run_config ~gray ~watchdog ~with_health ()))
+        (fun (slug, gray, watchdog, with_health) ->
+          (slug, run_config ~gray ~watchdog ~with_health ()))
         configs
     in
     let clean_bytes =
-      match raw with (_, _, o) :: _ -> float_of_int o.bytes | [] -> 1.0
+      match raw with (_, o) :: _ -> float_of_int o.bytes | [] -> 1.0
     in
     List.map
-      (fun (slug, label, o) ->
-        { slug; label; retained = float_of_int o.bytes /. clean_bytes; o })
+      (fun (slug, o) ->
+        { slug; retained = float_of_int o.bytes /. clean_bytes; o })
       raw
   in
-  print_table results;
+  let rows = List.map (fun r -> (r.slug, r)) results in
+  print_table rows;
   (* The §13 acceptance bar holds on every run, not just --check: the
      health engine must strictly beat the watchdog alone, and self-
      healing must never zero the live membership. *)
   let find slug = List.find (fun r -> r.slug = slug) results in
   let health = find "health" and watchdog = find "watchdog" in
-  if health.retained <= watchdog.retained then begin
-    Printf.eprintf
-      "  FAIL: health engine retained %.4f <= watchdog-only %.4f\n"
+  if health.retained <= watchdog.retained then
+    Gate.fail "health engine retained %.4f <= watchdog-only %.4f"
       health.retained watchdog.retained;
-    exit 1
-  end;
   List.iter
     (fun r ->
-      if r.o.violations > 0 then begin
-        Printf.eprintf "  FAIL: %s saw %d liveness violations\n" r.slug
-          r.o.violations;
-        exit 1
-      end)
+      if r.o.violations > 0 then
+        Gate.fail "%s saw %d liveness violations" r.slug r.o.violations)
     results;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"gray failure: 3x10Mbps SRR markers=4, channel 1 \
-       Gilbert ~45%% loss 1.0-3.0s carrier up, 53%% offered load\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+  Gate.emit opts ~key:"config"
+    ~scenario:
+      "gray failure: 3x10Mbps SRR markers=4, channel 1 Gilbert ~45% loss \
+       1.0-3.0s carrier up, 53% offered load"
+    ~array:"configs" fields rows;
+  Gate.finish ()

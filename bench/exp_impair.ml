@@ -17,10 +17,11 @@
 
      dune exec bench/exp_impair.exe --                  # table
      dune exec bench/exp_impair.exe -- --json FILE      # machine output
-     dune exec bench/exp_impair.exe -- --check FILE [--max-regress F]
-       # exit 1 if delivery drops, resync regresses more than F
-       # (default 0.05) against FILE's committed numbers, or any run's
-       # peak buffering exceeds the byte budget *)
+     dune exec bench/exp_impair.exe -- --check FILE
+       # exit 1 unless every field prints exactly as committed in FILE
+
+   Every run, checked or not, exits 1 if any configuration's peak
+   buffering exceeds the byte budget. *)
 
 open Stripe_netsim
 open Stripe_packet
@@ -128,21 +129,16 @@ let drive rig =
 
 let profiles =
   [
-    ("clean", "clean", Impair.none);
-    ("reorder", "reorder", Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ());
-    ( "reorder_dup",
-      "reorder+dup",
-      Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ~dup_p:0.05 () );
+    ("clean", Impair.none);
+    ("reorder", Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ());
+    ("reorder_dup", Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ~dup_p:0.05 ());
     ( "reorder_dup_corrupt",
-      "reorder+dup+corrupt",
       Impair.make ~reorder_p:0.2 ~reorder_window:0.01 ~dup_p:0.05
         ~corrupt_p:0.02 () );
   ]
 
 type result = {
   slug : string;  (* profile slug + "_raw" | "_guard" *)
-  label : string;
-  guarded : bool;
   delivered : int;
   rate : float;  (* delivered / offered; duplicates can push it past 1 *)
   ooo : int;
@@ -153,7 +149,7 @@ type result = {
   resync_ms : float;  (* negative = FIFO never restored *)
 }
 
-let run_config (profile_slug, label, impair) guarded =
+let run_config (profile_slug, impair) guarded =
   let rig = make_rig ~impair ~guarded () in
   let offered = drive rig in
   Sim.run rig.sim;
@@ -177,8 +173,6 @@ let run_config (profile_slug, label, impair) guarded =
   in
   {
     slug = profile_slug ^ if guarded then "_guard" else "_raw";
-    label;
-    guarded;
     delivered;
     rate = float_of_int delivered /. float_of_int offered;
     ooo = Reorder.out_of_order rig.reorder;
@@ -189,34 +183,21 @@ let run_config (profile_slug, label, impair) guarded =
     resync_ms;
   }
 
-let fmt_ms v = if v < 0.0 then "never" else Printf.sprintf "%.1f" v
+let fields =
+  Gate.
+    [
+      int "delivered" (fun r -> r.delivered);
+      float "rate" "%.4f" (fun r -> r.rate);
+      int "ooo" (fun r -> r.ooo);
+      int "dup_disc" (fun r -> r.dup_disc);
+      int "crpt_disc" (fun r -> r.crpt_disc);
+      int "overflows" (fun r -> r.overflows);
+      int "peak_buf" (fun r -> r.peak_buf);
+      float "resync_ms" "%.3f" (fun r -> r.resync_ms);
+    ]
 
-let print_table results =
-  let tbl =
-    Stripe_metrics.Table.create ~title:"Impairment containment"
-      ~columns:
-        [
-          "impairment"; "guard"; "delivered"; "rate"; "ooo"; "dup disc";
-          "crpt disc"; "ovfl"; "peak buf"; "resync (ms)";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Stripe_metrics.Table.add_row tbl
-        [
-          r.label;
-          (if r.guarded then "yes" else "no");
-          string_of_int r.delivered;
-          Printf.sprintf "%.1f%%" (100.0 *. r.rate);
-          string_of_int r.ooo;
-          string_of_int r.dup_disc;
-          string_of_int r.crpt_disc;
-          string_of_int r.overflows;
-          Printf.sprintf "%dB" r.peak_buf;
-          fmt_ms r.resync_ms;
-        ])
-    results;
-  Stripe_metrics.Table.print tbl;
+let print_table rows =
+  Gate.table ~title:"Impairment containment" ~key:"config" fields rows;
   print_endline
     "The guard turns a lying channel back into the loss-only FIFO pipe the";
   print_endline
@@ -239,140 +220,8 @@ let print_table results =
     "exceeds it. FIFO returns within a marker interval of the impairments";
   print_endline "stopping (Theorem 5.1).\n"
 
-let json_of_result r =
-  Printf.sprintf
-    "{\"config\":\"%s\",\"delivered\":%d,\"rate\":%.4f,\"ooo\":%d,\"dup_disc\":%d,\"crpt_disc\":%d,\"overflows\":%d,\"peak_buf\":%d,\"resync_ms\":%.3f}"
-    r.slug r.delivered r.rate r.ooo r.dup_disc r.crpt_disc r.overflows
-    r.peak_buf r.resync_ms
-
-(* Same minimal committed-JSON scanner as exp_failover: find
-   "FIELD":NUMBER after a "config":"SLUG" tag. *)
-let scan_number ~slug ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"config\":\"%s\"" slug) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
-
-(* The run is virtual-time deterministic, so a tight default tolerance
-   holds; the slack absorbs deliberate small protocol changes without
-   baseline churn. Resync times get 1 ms absolute headroom on top so a
-   0 ms committed value does not demand exact zeros forever. The byte
-   budget is a hard invariant, not a regression band: the resequencer
-   may never buffer past it whatever channel 1 does. *)
-let check ~max_regress ~file results =
-  if not (Sys.file_exists file) then begin
-    Printf.eprintf
-      "  FAIL: baseline file %s does not exist — regenerate it with --json %s \
-       and commit it\n"
-      file file;
-    exit 1
-  end;
-  let fail = ref false in
-  let lookup slug field =
-    match scan_number ~slug ~field file with
-    | Some v -> v
-    | None ->
-      Printf.eprintf
-        "  FAIL: no committed \"%s\" entry for config \"%s\" in %s — \
-         regenerate the baseline with --json\n"
-        field slug file;
-      fail := true;
-      Float.nan
-  in
-  let check_lower slug what current committed =
-    if Float.is_nan committed then ()
-    else begin
-      let floor = committed *. (1.0 -. max_regress) in
-      Printf.printf
-        "  check %-26s %-12s %10.3f vs committed %10.3f (floor %.3f)\n" slug
-        what current committed floor;
-      if current < floor then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%.3f < %.3f)\n" slug what
-          current floor;
-        fail := true
-      end
-    end
-  in
-  let check_time slug what current committed =
-    if Float.is_nan committed then ()
-    else if committed < 0.0 then begin
-      (* Committed "never": coming back at all is an improvement. *)
-      Printf.printf "  check %-26s %-12s %10s vs committed never\n" slug what
-        (fmt_ms current)
-    end
-    else begin
-      let ceiling = (committed *. (1.0 +. max_regress)) +. 1.0 in
-      Printf.printf
-        "  check %-26s %-12s %10.3f vs committed %10.3f (ceiling %.3f)\n" slug
-        what current committed ceiling;
-      if current < 0.0 || current > ceiling then begin
-        Printf.eprintf "  FAIL: %s %s regressed (%s > %.3f ms)\n" slug what
-          (fmt_ms current) ceiling;
-        fail := true
-      end
-    end
-  in
-  List.iter
-    (fun r ->
-      check_lower r.slug "delivered" (float_of_int r.delivered)
-        (lookup r.slug "delivered");
-      check_time r.slug "resync_ms" r.resync_ms (lookup r.slug "resync_ms");
-      if r.peak_buf > budget then begin
-        Printf.eprintf "  FAIL: %s peak buffering %dB exceeds the %dB budget\n"
-          r.slug r.peak_buf budget;
-        fail := true
-      end)
-    results;
-  if !fail then exit 1
-
 let () =
-  let json_out = ref None in
-  let check_file = ref None in
-  let max_regress = ref 0.05 in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check_file := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_impair [--json FILE] [--check FILE] [--max-regress F] \
-         (got %s)\n"
-        arg;
-      exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  let opts = Gate.parse "exp_impair" [] in
   print_endline
     "Impairments - channel 1 reorders/duplicates/corrupts until 1.5 s (3 x 10 \
      Mbps SRR, markers every 4 rounds, 64 KiB receive budget)";
@@ -381,20 +230,19 @@ let () =
       (fun profile -> List.map (run_config profile) [ false; true ])
       profiles
   in
-  print_table results;
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"impairments: 3x10Mbps SRR markers=4, channel 1 \
-       reorder/dup/corrupt until 1.5s, 64KiB budget, 80%% offered load\",\n\
-      \  \"configs\": [\n    %s\n  ]\n\
-       }\n"
-      (String.concat ",\n    " (List.map json_of_result results));
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check_file with
-  | None -> ()
-  | Some file -> check ~max_regress:!max_regress ~file results
+  let rows = List.map (fun r -> (r.slug, r)) results in
+  print_table rows;
+  (* The byte budget is a hard invariant, checked on every run: the
+     resequencer may never buffer past it whatever channel 1 does. *)
+  List.iter
+    (fun r ->
+      if r.peak_buf > budget then
+        Gate.fail "%s peak buffering %dB exceeds the %dB budget" r.slug
+          r.peak_buf budget)
+    results;
+  Gate.emit opts ~key:"config"
+    ~scenario:
+      "impairments: 3x10Mbps SRR markers=4, channel 1 reorder/dup/corrupt \
+       until 1.5s, 64KiB budget, 80% offered load"
+    ~array:"configs" fields rows;
+  Gate.finish ()

@@ -11,9 +11,10 @@
      dune exec bench/exp_throughput.exe -- --quick     # 100k packets
      dune exec bench/exp_throughput.exe -- --json FILE # machine output
      dune exec bench/exp_throughput.exe -- --repeat 5  # best-of-5
-     dune exec bench/exp_throughput.exe -- --check FILE --max-regress 0.30
+     dune exec bench/exp_throughput.exe -- --check FILE
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, or minor words/packet leaves a +-1% band around them
+       # numbers, minor words/packet leaves a +-1% band around them, or
+       # the virtual-time fields differ from them
 
    The scenario is run [--repeat] times (default 3) and the fastest run
    is reported: wall-clock noise on a shared machine is one-sided, so
@@ -127,89 +128,35 @@ let run_once ~n_packets () =
    the event queue the numbers were measured on. *)
 let tag ~quick = if quick then "calendar-quick" else "calendar"
 
-let json_of_result ~tag r =
-  Printf.sprintf
-    "{\"engine\":\"%s\",\"n_packets\":%d,\"delivered\":%d,\"wall_s\":%.4f,\"pps\":%.1f,\"minor_words\":%.0f,\"minor_words_per_packet\":%.2f,\"sim_seconds\":%.4f}"
-    tag r.n_packets r.delivered r.wall_s r.pps r.minor_words
-    r.minor_words_per_packet r.sim_seconds
-
-(* Minimal scanner for the committed JSON: find "NAME":NUMBER after an
-   "engine":"ENGINE" tag. Good enough for the gate; no JSON dep. *)
-let scan_number ~engine ~field path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let find needle from =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i =
-      if i + nl > sl then None
-      else if String.sub s i nl = needle then Some (i + nl)
-      else go (i + 1)
-    in
-    go from
-  in
-  match find (Printf.sprintf "\"engine\":\"%s\"" engine) 0 with
-  | None -> None
-  | Some after_tag -> (
-    match find (Printf.sprintf "\"%s\":" field) after_tag with
-    | None -> None
-    | Some p ->
-      let stop = ref p in
-      while
-        !stop < String.length s
-        && (match s.[!stop] with
-           | '0' .. '9' | '.' | '-' | 'e' | 'E' | '+' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub s p (!stop - p)))
+(* Wall-clock pps gets a floor; allocation is deterministic per build,
+   so minor words/packet gets a tight band — creep either way means the
+   hot path changed and the anchor must be refreshed with it. *)
+let fields =
+  Gate.
+    [
+      int "n_packets" (fun r -> r.n_packets);
+      int "delivered" (fun r -> r.delivered);
+      float ~kind:Report "wall_s" "%.4f" (fun r -> r.wall_s);
+      float ~kind:Floor "pps" "%.1f" (fun r -> r.pps);
+      float ~kind:Report "minor_words" "%.0f" (fun r -> r.minor_words);
+      float ~kind:Band "minor_words_per_packet" "%.2f" (fun r ->
+          r.minor_words_per_packet);
+      float "sim_seconds" "%.4f" (fun r -> r.sim_seconds);
+    ]
 
 let best_of ~repeat ~n_packets () =
-  let best = ref (run_once ~n_packets ()) in
-  for _ = 2 to repeat do
-    let r = run_once ~n_packets () in
-    if r.pps > !best.pps then best := r
-  done;
-  !best
-
-(* Allocation is deterministic per run, so its gate is a tight band
-   rather than a one-sided floor: creep either way means the hot path
-   changed and the anchor must be refreshed with it. *)
-let words_band = 0.01
+  Gate.best_of ~repeat ~pps:(fun r -> r.pps) (run_once ~n_packets)
 
 let () =
   let quick = ref false in
-  let json_out = ref None in
-  let check = ref None in
-  let max_regress = ref 0.30 in
   let repeat = ref 3 in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-      quick := true;
-      parse rest
-    | "--repeat" :: v :: rest ->
-      repeat := max 1 (int_of_string v);
-      parse rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse rest
-    | "--check" :: file :: rest ->
-      check := Some file;
-      parse rest
-    | "--max-regress" :: v :: rest ->
-      max_regress := float_of_string v;
-      parse rest
-    | arg :: _ ->
-      Printf.eprintf
-        "usage: exp_throughput [--quick] [--repeat N] [--json FILE] \
-         [--check FILE] [--max-regress F] (got %s)\n"
-        arg;
-      exit 2
+  let opts =
+    Gate.parse "exp_throughput"
+      [
+        Gate.Switch ("--quick", fun () -> quick := true);
+        Gate.Value ("--repeat", "N", fun v -> repeat := max 1 (int_of_string v));
+      ]
   in
-  parse (List.tl (Array.to_list Sys.argv));
   let n_packets = if !quick then 100_000 else 1_000_000 in
   Printf.printf
     "exp_throughput: 4 channels x %.0f Mbps, SRR + markers(4) + resequencer, \
@@ -225,83 +172,20 @@ let () =
       "  %-14s vs baseline: %.2fx pps, %.2fx fewer minor words/pkt\n" row
       (r.pps /. baseline_pps)
       (baseline_minor_words_per_packet /. r.minor_words_per_packet);
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    (* A full-run export also measures and embeds the quick size, so a
-       committed file supports like-for-like [--quick --check] in CI. *)
-    let quick_entries =
+  Gate.emit opts ~key:"engine"
+    ~scenario:"4ch 10Mbps SRR markers=4 resequencer bimodal"
+    ~header:
+      [
+        ("n_packets", string_of_int n_packets);
+        ( "baseline",
+          Printf.sprintf
+            "{\"engine\":\"boxed-heap@60b89d5\",\"pps\":%.1f,\"minor_words_per_packet\":%.2f}"
+            baseline_pps baseline_minor_words_per_packet );
+      ]
+    ~array:"engines"
+    ~more:(fun () ->
       if !quick then []
-      else
-        [
-          json_of_result ~tag:(tag ~quick:true)
-            (best_of ~repeat:!repeat ~n_packets:100_000 ());
-        ]
-    in
-    let entries = json_of_result ~tag:row r :: quick_entries in
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"scenario\": \"4ch 10Mbps SRR markers=4 resequencer bimodal\",\n\
-      \  \"n_packets\": %d,\n\
-      \  \"baseline\": \
-       {\"engine\":\"boxed-heap@60b89d5\",\"pps\":%.1f,\"minor_words_per_packet\":%.2f},\n\
-      \  \"engines\": [\n    %s\n  ]\n\
-       }\n"
-      n_packets baseline_pps baseline_minor_words_per_packet
-      (String.concat ",\n    " entries);
-    close_out oc;
-    Printf.printf "  wrote %s\n%!" file);
-  match !check with
-  | None -> ()
-  | Some file ->
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf
-        "  FAIL: baseline file %s does not exist — regenerate it with \
-         --json %s and commit it\n"
-        file file;
-      exit 1
-    end;
-    let fail = ref false in
-    let committed field =
-      match scan_number ~engine:row ~field file with
-      | Some v -> Some v
-      | None ->
-        (* A silently missing key would let the gate pass vacuously —
-           e.g. a full-run baseline committed without its embedded
-           quick entry, checked by a --quick CI job. *)
-        Printf.eprintf
-          "  FAIL: no committed \"%s\" entry for engine \"%s\" in %s — \
-           regenerate the baseline with --json\n"
-          field row file;
-        fail := true;
-        None
-    in
-    (match committed "pps" with
-    | None -> ()
-    | Some committed ->
-      let floor = committed *. (1.0 -. !max_regress) in
-      Printf.printf "  check %-14s %.0f pps vs committed %.0f (floor %.0f)\n"
-        row r.pps committed floor;
-      if r.pps < floor then begin
-        Printf.eprintf
-          "  FAIL: %s regressed more than %.0f%% (%.0f < %.0f pps)\n" row
-          (100.0 *. !max_regress) r.pps floor;
-        fail := true
-      end);
-    (match committed "minor_words_per_packet" with
-    | None -> ()
-    | Some committed ->
-      let lo = committed *. (1.0 -. words_band)
-      and hi = committed *. (1.0 +. words_band) in
-      Printf.printf
-        "  check %-14s %.2f minor words/pkt vs committed %.2f (band %.2f..%.2f)\n"
-        row r.minor_words_per_packet committed lo hi;
-      if r.minor_words_per_packet < lo || r.minor_words_per_packet > hi then begin
-        Printf.eprintf
-          "  FAIL: %s minor words/pkt %.2f outside the +-%.0f%% band around \
-           %.2f\n"
-          row r.minor_words_per_packet (100.0 *. words_band) committed;
-        fail := true
-      end);
-    if !fail then exit 1
+      else [ (tag ~quick:true, best_of ~repeat:!repeat ~n_packets:100_000 ()) ])
+    fields
+    [ (row, r) ];
+  Gate.finish ()

@@ -44,4 +44,5 @@ let () =
          Test_disciplines.suites;
          Test_transport.suites;
          Test_workload.suites;
+         Test_gate.suites;
        ])
