@@ -549,9 +549,9 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
                   (* Loss is applied here, past the link model, so the wire's
                      own Drop instrumentation never sees it — record it. *)
                   if Obs.Sink.active obs_sink then
-                    Obs.Sink.emit obs_sink
-                      (Obs.Event.v ~time:(Sim.now sim) ~channel:i
-                         Obs.Event.Drop)
+                    Obs.Sink.emit_fields obs_sink ~time:(Sim.now sim)
+                      ~channel:i ~round:(-1) ~dc:0 ~size:(-1) ~seq:(-1)
+                      Obs.Event.Drop
                 end
                 else receive i payload)
               ())

@@ -65,8 +65,8 @@ let create ~n ?(window = 32) ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
 
 let emit t kind ~channel ~size ~seq =
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel ~size ~seq ~time:(t.now ()) kind)
+    Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel ~round:(-1) ~dc:0
+      ~size ~seq kind
 
 let forward t ~channel pkt =
   t.n_forwarded <- t.n_forwarded + 1;

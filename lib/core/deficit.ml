@@ -15,6 +15,17 @@ type event =
   | New_round of { round : int }
   | Retune of { round : int; old_quanta : int array; new_quanta : int array }
 
+(* Engine observers: [visit] sees every transition, [boundary] only
+   [New_round] and [Retune]. They share one field, which an unobserved
+   engine points at the shared [no_hooks], so the engine record a pool
+   slot holds stays one word per observer pair. *)
+type hooks = {
+  visit : (event -> unit) option;
+  boundary : (event -> unit) option;
+}
+
+let no_hooks = { visit = None; boundary = None }
+
 (* [quanta], [n], [dcs], [susp] are mutable so the engine can be retuned
    and resized in place ([retune], [add_channel], [remove_channel],
    [reconfigure]) without invalidating the references other components
@@ -43,7 +54,7 @@ type t = {
   mutable ptr : int;
   mutable g : int;
   mutable serving : bool;
-  mutable hook : (event -> unit) option;
+  mutable hooks : hooks;
 }
 
 (* SplitMix64 finalizer: the avalanche that turns (seed, round) into an
@@ -118,7 +129,7 @@ let create ?(cost = Bytes) ?(overdraw = true) ?max_packet ?(order = Fixed)
       ptr = 0;
       g = 0;
       serving = false;
-      hook = None;
+      hooks = no_hooks;
     }
   in
   refresh_perm t;
@@ -128,10 +139,19 @@ let clone_initial t =
   create ~cost:t.cost_mode ~overdraw:t.overdraw ?max_packet:t.max_pkt
     ~order:t.visit_order ~quanta:t.quanta ()
 
-(* Call sites guard on [t.hook] before building the event: constructing
-   the record argument allocates even when nobody is listening, and
-   select/consume sit on the per-packet path. *)
-let emit t ev = match t.hook with None -> () | Some f -> f ev
+(* Call sites guard on [visit_observed] before building the event:
+   constructing the record argument allocates even when nobody is
+   listening, and select/consume sit on the per-packet path. Round-boundary
+   events go to both observers and are guarded with [round_observed]. *)
+let visit_observed t = match t.hooks.visit with None -> false | Some _ -> true
+let emit t ev = match t.hooks.visit with None -> () | Some f -> f ev
+
+let round_observed t =
+  match t.hooks with { visit = None; boundary = None } -> false | _ -> true
+
+let emit_round t ev =
+  emit t ev;
+  match t.hooks.boundary with None -> () | Some f -> f ev
 
 let validate_quanta ~who ~max_pkt quanta =
   Array.iter
@@ -160,8 +180,9 @@ let apply_retune t q =
     if t.dcs.(c) <> 0 then t.dcs.(c) <- t.dcs.(c) * q.(c) / old.(c)
   done;
   t.quanta <- Array.copy q;
-  if t.hook <> None then
-    emit t (Retune { round = t.g; old_quanta = old; new_quanta = Array.copy q })
+  if round_observed t then
+    emit_round t
+      (Retune { round = t.g; old_quanta = old; new_quanta = Array.copy q })
 
 (* Suspension is operational state (the channel is down), not protocol
    state: a reset barrier rebuilds rounds and DCs but does not revive a
@@ -197,7 +218,8 @@ let set_round t g =
   t.g <- g;
   refresh_perm t
 
-let set_hook t hook = t.hook <- hook
+let set_hook t hook = t.hooks <- { t.hooks with visit = hook }
+let set_round_hook t hook = t.hooks <- { t.hooks with boundary = hook }
 let cost_of t size = match t.cost_mode with Bytes -> size | Packets -> 1
 
 let begin_visit t =
@@ -205,12 +227,12 @@ let begin_visit t =
     let c = chan t in
     t.dcs.(c) <- t.dcs.(c) + t.quanta.(c);
     t.serving <- true;
-    if t.hook <> None then
+    if visit_observed t then
       emit t (Begin_visit { channel = c; round = t.g; dc = t.dcs.(c) })
   end
 
 let advance t =
-  if t.hook <> None then begin
+  if visit_observed t then begin
     let c = chan t in
     emit t (End_visit { channel = c; round = t.g; dc = t.dcs.(c) })
   end;
@@ -221,7 +243,7 @@ let advance t =
     t.g <- t.g + 1;
     (* Deal the new round's visit order before anyone reads [chan]. *)
     (match t.visit_order with Fixed -> () | Permuted _ -> refresh_perm t);
-    if t.hook <> None then emit t (New_round { round = t.g });
+    if round_observed t then emit_round t (New_round { round = t.g });
     match t.pending with
     | None -> ()
     | Some q ->
@@ -398,7 +420,7 @@ let consume t ~size =
   let before = t.dcs.(c) in
   let after = before - cost_of t size in
   t.dcs.(c) <- after;
-  if t.hook <> None then
+  if visit_observed t then
     emit t
       (Consume { channel = c; round = t.g; dc_before = before; dc_after = after });
   if after <= 0 then advance t

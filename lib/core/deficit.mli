@@ -233,8 +233,15 @@ val reconfigure : t -> quanta:int array -> unit
     nothing. The hook is kept. *)
 
 val set_hook : t -> (event -> unit) option -> unit
-(** Install an observer of engine transitions (used for the Figure 5/6
-    golden traces and by the marker emission policy). *)
+(** Install an observer of every engine transition, per-visit ones
+    included (the Figure 5/6 golden traces). Once installed, each visit
+    and each charged packet builds an event record for it. *)
+
+val set_round_hook : t -> (event -> unit) option -> unit
+(** Install an observer of round boundaries only: it receives [New_round]
+    and [Retune], never [Begin_visit]/[Consume]/[End_visit], so it costs
+    nothing within a round. Independent of {!set_hook}; both see the
+    round-boundary events. *)
 
 val pp_state : Format.formatter -> t -> unit
 (** One-line state dump: pointer, round, DCs. *)

@@ -244,8 +244,8 @@ let clear_window ch =
 
 let emit t ~time kind ~channel ~size ~seq =
   if Stripe_obs.Sink.active t.sink then
-    Stripe_obs.Sink.emit t.sink
-      (Stripe_obs.Event.v ~channel ~size ~seq ~time kind)
+    Stripe_obs.Sink.emit_fields t.sink ~time ~channel ~round:(-1) ~dc:0 ~size
+      ~seq kind
 
 (* Would quarantining [c] zero the live membership? Another channel
    must remain that is not quarantined and whose link the caller still

@@ -132,6 +132,9 @@ type t = {
          have already joined the crash barrier, so a channel is flushed
          once per sender incarnation, not once per marker. *)
   mutable n_epoch_discards : int;
+  mutable n_remove_discards : int;
+      (* Data packets still buffered on a channel when its staged removal
+         adopted, discarded with it. *)
   mutable n_crash_syncs : int;  (* Completed crash barriers. *)
   mutable n_stale_resets : int;
       (* Reset-marker copies discarded as duplicates of an already
@@ -155,11 +158,11 @@ type t = {
      is the discipline-comparison metric — how much cross-channel
      interleave the resequencer is asked to repair — measured at
      arrival, before any buffering decision. [rd_hist] is a bounded
-     histogram (last bucket = overflow) for percentiles; [rd_max] is
-     exact. Packets without a sequence (seq < 0) are not judged. *)
+     histogram (last bucket = overflow) for percentiles, whose sum is
+     the sample count; [rd_max] is exact. Packets without a sequence
+     (seq < 0) are not judged. *)
   mutable rd_max_seq : int;
   mutable rd_max : int;
-  mutable rd_samples : int;
   rd_hist : int array;
   mutable on_adopt : unit -> unit;
       (* Fires after a staged retune/add/remove is adopted at its
@@ -231,6 +234,7 @@ let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     pending_epoch = 0;
     ch_epoch = Array.make n 0;
     n_epoch_discards = 0;
+    n_remove_discards = 0;
     n_crash_syncs = 0;
     n_stale_resets = 0;
     realign_pending = false;
@@ -238,7 +242,6 @@ let create ~deficit ?on_credit ?(now = fun () -> 0.0) ?(sink = Obs.Sink.null)
     n_forced_barriers = 0;
     rd_max_seq = -1;
     rd_max = 0;
-    rd_samples = 0;
     rd_hist = Array.make rd_buckets 0;
     on_adopt = (fun () -> ());
   }
@@ -311,6 +314,7 @@ let recycle t =
   t.pending_epoch <- 0;
   t.rx_gen <- -1;
   t.n_epoch_discards <- 0;
+  t.n_remove_discards <- 0;
   t.n_crash_syncs <- 0;
   t.n_stale_resets <- 0;
   t.realign_pending <- false;
@@ -318,7 +322,6 @@ let recycle t =
   t.n_forced_barriers <- 0;
   t.rd_max_seq <- -1;
   t.rd_max <- 0;
-  t.rd_samples <- 0;
   Array.fill t.rd_hist 0 rd_buckets 0
 
 (* Backpressure with hysteresis: raise above 3/4 of the budget, clear
@@ -425,9 +428,8 @@ let apply_marker t c (m : Packet.marker) =
   t.n_markers <- t.n_markers + 1;
   t.force.(c) <- Some { Deficit.round = m.m_round; dc = m.m_dc };
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel:c ~round:m.m_round ~dc:m.m_dc ~time:(t.now ())
-         Obs.Event.Marker_applied);
+    Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:m.m_round
+      ~dc:m.m_dc ~size:(-1) ~seq:(-1) Obs.Event.Marker_applied;
   match t.on_credit, m.m_credit with
   | Some f, Some k -> f c k
   | Some _, None | None, _ -> ()
@@ -472,9 +474,9 @@ let rec absorb_markers t c =
         ignore (Fifo_queue.pop_exn buf);
         t.n_markers <- t.n_markers + 1;
         if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~round:m.Packet.m_round ~dc:m.Packet.m_dc
-               ~time:(t.now ()) Obs.Event.Marker_applied);
+          Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+            ~round:m.Packet.m_round ~dc:m.Packet.m_dc ~size:(-1) ~seq:(-1)
+            Obs.Event.Marker_applied;
         if reset_stale t ~epoch:m.Packet.m_epoch ~gen:m.Packet.m_gen then begin
           t.n_stale_resets <- t.n_stale_resets + 1;
           absorb_markers t c
@@ -519,9 +521,8 @@ let crash_sync t c ~epoch ~gen =
     t.n_epoch_discards <- t.n_epoch_discards + !pkts;
     update_pressure t;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c ~size:!bytes ~seq:!pkts ~time:(t.now ())
-           Obs.Event.Epoch_discard)
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1) ~dc:0
+        ~size:!bytes ~seq:!pkts Obs.Event.Epoch_discard
   end;
   t.force.(c) <- None;
   note_reset_pending t c ~epoch ~gen;
@@ -580,7 +581,10 @@ let splice a c =
    that buffer is empty (the goodbye reset marker is sequenced behind
    all the channel's data, so the scan drained it before the barrier
    could complete); only a watchdog-declared-dead removal can lose
-   packets here, and those were stranded on a dead link anyway. *)
+   packets here, and those were stranded on a dead link anyway. They are
+   counted ([remove_discards]) and reported as one [Remove_discard]
+   event, so byte conservation and the sinks' buffer shadows account for
+   them. *)
 let adopt_staged t =
   match t.staged with
   | S_none -> Deficit.reinit t.d
@@ -590,11 +594,20 @@ let adopt_staged t =
     t.on_adopt ()
   | S_remove (c, q) ->
     t.staged <- S_none;
+    let bytes = ref 0 and pkts = ref 0 in
     Fifo_queue.iter t.buffers.(c) (fun pkt ~size ->
         if not (Packet.is_marker pkt) then begin
-          t.n_data_buffered <- t.n_data_buffered - 1;
-          t.data_bytes <- t.data_bytes - size
+          incr pkts;
+          bytes := !bytes + size
         end);
+    if !pkts > 0 then begin
+      t.n_data_buffered <- t.n_data_buffered - !pkts;
+      t.data_bytes <- t.data_bytes - !bytes;
+      t.n_remove_discards <- t.n_remove_discards + !pkts;
+      if Obs.Sink.active t.sink then
+        Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1)
+          ~dc:0 ~size:!bytes ~seq:!pkts Obs.Event.Remove_discard
+    end;
     t.buffers <- splice t.buffers c;
     t.force <- splice t.force c;
     t.reset_pending <- splice t.reset_pending c;
@@ -696,9 +709,8 @@ let rec progress t =
       else if !ae = t.rx_epoch && !ag <> max_int && !ag > t.rx_gen then
         t.rx_gen <- !ag;
       if Obs.Sink.active t.sink then
-        Obs.Sink.emit t.sink
-          (Obs.Event.v ~round:t.n_resets ~time:(t.now ())
-             Obs.Event.Reset_barrier);
+        Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:(-1)
+          ~round:t.n_resets ~dc:0 ~size:(-1) ~seq:(-1) Obs.Event.Reset_barrier;
       progress t
     end
     else begin
@@ -740,9 +752,8 @@ let rec progress t =
        and wait for our round number to catch up with the marker's. *)
     t.n_skips <- t.n_skips + 1;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c ~round:(Deficit.round t.d) ~time:(t.now ())
-           Obs.Event.Skip);
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+        ~round:(Deficit.round t.d) ~dc:0 ~size:(-1) ~seq:(-1) Obs.Event.Skip;
     Deficit.advance t.d;
     progress t
   | force_state ->
@@ -783,31 +794,31 @@ let rec progress t =
           if not forced then begin
             t.n_wd_skips <- t.n_wd_skips + 1;
             if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
-                   ~time:(t.now ()) Obs.Event.Watchdog_skip)
+              Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+                ~round:(Deficit.round t.d) ~dc:0 ~size:(-1) ~seq:(-1)
+                Obs.Event.Watchdog_skip
           end;
           if t.waiting = c then begin
             t.waiting <- -1;
             if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock)
+              Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+                ~round:(-1) ~dc:0 ~size:(-1) ~seq:(-1) Obs.Event.Unblock
           end;
           Deficit.advance t.d;
           progress t
         end
         else begin
           if t.waiting <> c && Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Block);
+            Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1)
+              ~dc:0 ~size:(-1) ~seq:(-1) Obs.Event.Block;
           t.waiting <- c (* Block: logical reception waits here. *)
         end
     end
     else begin
         let pkt = Fifo_queue.pop_exn t.buffers.(c) in
         if t.waiting = c && Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Unblock);
+          Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1)
+            ~dc:0 ~size:(-1) ~seq:(-1) Obs.Event.Unblock;
         t.waiting <- -1;
         t.wd_spin <- 0;
         t.n_data_buffered <- t.n_data_buffered - 1;
@@ -820,10 +831,9 @@ let rec progress t =
         update_pressure t;
         t.n_delivered <- t.n_delivered + 1;
         if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel:c ~round:(Deficit.round t.d)
-               ~dc:(Deficit.dc t.d c) ~size:pkt.Packet.size
-               ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
+          Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+            ~round:(Deficit.round t.d) ~dc:(Deficit.dc t.d c)
+            ~size:pkt.Packet.size ~seq:pkt.Packet.seq Obs.Event.Deliver;
         t.deliver ~channel:c pkt;
         Deficit.consume t.d ~size:pkt.Packet.size;
         progress t
@@ -861,10 +871,9 @@ let hard_pop t =
               note_reset_pending t c ~epoch:m.Packet.m_epoch
                 ~gen:m.Packet.m_gen);
            if Obs.Sink.active t.sink then
-             Obs.Sink.emit t.sink
-               (Obs.Event.v ~channel:c ~round:m.Packet.m_round
-                  ~dc:m.Packet.m_dc ~time:(t.now ())
-                  Obs.Event.Marker_applied)
+             Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c
+               ~round:m.Packet.m_round ~dc:m.Packet.m_dc ~size:(-1) ~seq:(-1)
+               Obs.Event.Marker_applied
          end
          else apply_marker t c m
        end
@@ -874,9 +883,8 @@ let hard_pop t =
          t.n_delivered <- t.n_delivered + 1;
          t.n_forced_deliveries <- t.n_forced_deliveries + 1;
          if Obs.Sink.active t.sink then
-           Obs.Sink.emit t.sink
-             (Obs.Event.v ~channel:c ~size:pkt.Packet.size
-                ~seq:pkt.Packet.seq ~time:(t.now ()) Obs.Event.Deliver);
+           Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1)
+             ~dc:0 ~size:pkt.Packet.size ~seq:pkt.Packet.seq Obs.Event.Deliver;
          t.deliver ~channel:c pkt;
          update_pressure t
        end);
@@ -913,9 +921,8 @@ let receive t ~channel pkt =
     note_arrival t channel ~is_marker:false;
     t.n_corrupt_markers <- t.n_corrupt_markers + 1;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel ~size:pkt.Packet.size ~time:(t.now ())
-           Obs.Event.Corrupt_discard);
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel ~round:(-1) ~dc:0
+        ~size:pkt.Packet.size ~seq:(-1) Obs.Event.Corrupt_discard;
     progress t
   end
   else begin
@@ -928,7 +935,6 @@ let receive t ~channel pkt =
         if d > t.rd_max then t.rd_max <- d;
         let b = if d >= rd_buckets then rd_buckets - 1 else d in
         t.rd_hist.(b) <- t.rd_hist.(b) + 1;
-        t.rd_samples <- t.rd_samples + 1;
         if s > t.rd_max_seq then t.rd_max_seq <- s
       end
     end;
@@ -954,10 +960,9 @@ let receive t ~channel pkt =
             consumed_here := true;
             t.n_markers <- t.n_markers + 1;
             if Obs.Sink.active t.sink then
-              Obs.Sink.emit t.sink
-                (Obs.Event.v ~channel ~round:m.Packet.m_round
-                   ~dc:m.Packet.m_dc ~time:(t.now ())
-                   Obs.Event.Marker_applied)
+              Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel
+                ~round:m.Packet.m_round ~dc:m.Packet.m_dc ~size:(-1) ~seq:(-1)
+                Obs.Event.Marker_applied
           end
           (* A non-reset epoch-advanced marker (the reset marker itself
              was lost) is buffered normally below: once the barrier
@@ -976,9 +981,8 @@ let receive t ~channel pkt =
         | Some b ->
           t.n_overflows <- t.n_overflows + 1;
           if Obs.Sink.active t.sink then
-            Obs.Sink.emit t.sink
-              (Obs.Event.v ~channel ~size:pkt.Packet.size ~time:(t.now ())
-                 Obs.Event.Buffer_overflow);
+            Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel ~round:(-1)
+              ~dc:0 ~size:pkt.Packet.size ~seq:(-1) Obs.Event.Buffer_overflow;
           (match t.overflow with
           | Drop_newest ->
             (* Refusing the arrival is a channel loss like any other:
@@ -1003,9 +1007,8 @@ let receive t ~channel pkt =
           t.max_data_bytes <- t.data_bytes;
         update_pressure t;
         if Obs.Sink.active t.sink then
-          Obs.Sink.emit t.sink
-            (Obs.Event.v ~channel ~size:pkt.Packet.size ~seq:pkt.Packet.seq
-               ~time:(t.now ()) Obs.Event.Enqueue)
+          Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel ~round:(-1)
+            ~dc:0 ~size:pkt.Packet.size ~seq:pkt.Packet.seq Obs.Event.Enqueue
       end
     end;
     (* A channel staged for addition is not in the simulated engine yet,
@@ -1039,7 +1042,8 @@ let crash_restart t =
   let wiped = t.n_data_buffered in
   let now = t.now () in
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Crash);
+    Obs.Sink.emit_fields t.sink ~time:now ~channel:(-1) ~round:(-1) ~dc:0
+      ~size:(-1) ~seq:(-1) Obs.Event.Crash;
   Deficit.reconfigure t.d ~quanta:(Deficit.quanta t.d);
   t.staged <- S_none;
   let n = Deficit.n_channels t.d in
@@ -1087,7 +1091,8 @@ let crash_restart t =
   t.pending_epoch <- min_int;
   t.rx_gen <- -1;
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Restart);
+    Obs.Sink.emit_fields t.sink ~time:now ~channel:(-1) ~round:(-1) ~dc:0
+      ~size:(-1) ~seq:(-1) Obs.Event.Restart;
   wiped
 
 let transition_pending t = t.staged <> S_none
@@ -1192,19 +1197,21 @@ let forced_deliveries t = t.n_forced_deliveries
 let corrupt_marker_discards t = t.n_corrupt_markers
 let round_realigns t = t.n_realigns
 let epoch_discards t = t.n_epoch_discards
+let remove_discards t = t.n_remove_discards
 let crash_syncs t = t.n_crash_syncs
 
 let reorder_depth_max t = t.rd_max
-let reorder_depth_samples t = t.rd_samples
+let reorder_depth_samples t = Array.fold_left ( + ) 0 t.rd_hist
 
 let reorder_depth_percentile t ~p =
   if not (p > 0.0 && p <= 1.0) then
     invalid_arg "Resequencer.reorder_depth_percentile: p must be in (0, 1]";
-  if t.rd_samples = 0 then 0
+  let samples = reorder_depth_samples t in
+  if samples = 0 then 0
   else begin
     (* Smallest depth d with |samples <= d| >= ceil(p * samples). *)
     let need =
-      let x = p *. float_of_int t.rd_samples in
+      let x = p *. float_of_int samples in
       let c = int_of_float (Float.ceil x) in
       if c < 1 then 1 else c
     in

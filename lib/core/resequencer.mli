@@ -182,7 +182,8 @@ val remove_channel : t -> int -> unit
     reset marker completes the barrier; only then is it spliced out
     (higher channels shift down). Anything still buffered on it at that
     point — possible only for a watchdog-dead channel whose barrier
-    completed without it — is discarded with it. *)
+    completed without it — is discarded with it and counted in
+    {!remove_discards}. *)
 
 val transition_pending : t -> bool
 (** Whether a staged retune/add/remove is waiting for its barrier.
@@ -317,6 +318,14 @@ val epoch_discards : t -> int
 (** Data packets discarded as provably stale by the epoch rule: buffered
     ahead of a later-epoch marker on its channel (sender crash), or
     buffered before the first post-restart marker (receiver crash). *)
+
+val remove_discards : t -> int
+(** Data packets discarded because they were still buffered on a channel
+    when its staged {!remove_channel} adopted — possible only when the
+    watchdog horizon forced the removal's barrier before the scan drained
+    the channel.
+    Each adoption that discards reports one [Remove_discard] event
+    ([size] = bytes, [seq] = packets). A drop term for conservation. *)
 
 val crash_syncs : t -> int
 (** Completed {e crash} barriers — reset barriers that adopted a new

@@ -92,24 +92,22 @@ let observe t ?(now = fun () -> 0.0) sink =
   match t.engine with
   | None -> ()
   | Some d ->
-    Deficit.set_hook d
+    Deficit.set_round_hook d
       (Some
          (fun ev ->
            match ev with
            | Deficit.New_round { round } ->
              if Stripe_obs.Sink.active sink then
-               Stripe_obs.Sink.emit sink
-                 (Stripe_obs.Event.v ~round ~time:(now ())
-                    Stripe_obs.Event.Round)
+               Stripe_obs.Sink.emit_fields sink ~time:(now ()) ~channel:(-1)
+                 ~round ~dc:0 ~size:(-1) ~seq:(-1) Stripe_obs.Event.Round
            | Deficit.Retune { round; old_quanta; new_quanta } ->
              (* One event per channel: [dc] carries the old quantum,
                 [size] the new one. *)
              if Stripe_obs.Sink.active sink then
                for c = 0 to Array.length new_quanta - 1 do
-                 Stripe_obs.Sink.emit sink
-                   (Stripe_obs.Event.v ~channel:c ~round ~dc:old_quanta.(c)
-                      ~size:new_quanta.(c) ~time:(now ())
-                      Stripe_obs.Event.Retune)
+                 Stripe_obs.Sink.emit_fields sink ~time:(now ()) ~channel:c
+                   ~round ~dc:old_quanta.(c) ~size:new_quanta.(c) ~seq:(-1)
+                   Stripe_obs.Event.Retune
                done
            | Deficit.Begin_visit _ | Deficit.Consume _ | Deficit.End_visit _
              ->

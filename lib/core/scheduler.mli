@@ -123,5 +123,7 @@ val observe : t -> ?now:(unit -> float) -> Stripe_obs.Sink.t -> unit
     [now]) every time the round-robin pointer wraps, and a per-channel
     [Retune] event (old quantum in [dc], new quantum in [size]) whenever
     a new quantum vector takes effect. Implemented with
-    {!Deficit.set_hook}, so it replaces any hook already installed on the
-    engine; a no-op for non-CFQ schedulers. *)
+    {!Deficit.set_round_hook}, so it replaces any round hook already
+    installed on the engine, leaves the per-visit {!Deficit.set_hook}
+    alone, and adds nothing to the per-packet path within a round; a
+    no-op for non-CFQ schedulers. *)

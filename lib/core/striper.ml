@@ -67,9 +67,9 @@ let emit_marker t policy d channel =
   t.n_markers <- t.n_markers + 1;
   if Obs.Sink.active t.sink then begin
     let m = Packet.get_marker pkt in
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel ~round:m.Packet.m_round ~dc:m.Packet.m_dc
-         ~size:pkt.Packet.size ~time:(t.now ()) Obs.Event.Marker_sent)
+    Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel
+      ~round:m.Packet.m_round ~dc:m.Packet.m_dc ~size:pkt.Packet.size ~seq:(-1)
+      Obs.Event.Marker_sent
   end;
   t.emit ~channel pkt
 
@@ -110,9 +110,8 @@ let push t pkt =
        observable, never an exception from deep inside a member link. *)
     t.n_no_channel <- t.n_no_channel + 1;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~size:pkt.Packet.size ~seq:pkt.Packet.seq
-           ~time:(t.now ()) Obs.Event.Txq_drop)
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:(-1) ~round:(-1)
+        ~dc:0 ~size:pkt.Packet.size ~seq:pkt.Packet.seq Obs.Event.Txq_drop
   end
   else begin
   (* Select first: for CFQ schedulers this begins the visit, settling the
@@ -135,9 +134,8 @@ let push t pkt =
       | Some d -> (Deficit.round d, Deficit.dc d c)
       | None -> (-1, 0)
     in
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel:c ~round ~dc ~size:pkt.size ~seq:pkt.seq
-         ~time:(t.now ()) Obs.Event.Transmit)
+    Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round ~dc
+      ~size:pkt.size ~seq:pkt.seq Obs.Event.Transmit
   end;
   t.emit ~channel:c pkt;
   t.n_pushed <- t.n_pushed + 1;
@@ -167,7 +165,8 @@ let send_reset t =
     (* Fresh-epoch stamps: every channel's next packet is (0, quantum). *)
     let now = t.now () in
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Reset_barrier);
+      Obs.Sink.emit_fields t.sink ~time:now ~channel:(-1) ~round:(-1) ~dc:0
+        ~size:(-1) ~seq:(-1) Obs.Event.Reset_barrier;
     for channel = 0 to Scheduler.n_channels t.sched - 1 do
       let stamp = Deficit.next_stamp d channel in
       let pkt =
@@ -176,10 +175,9 @@ let send_reset t =
       in
       t.n_markers <- t.n_markers + 1;
       if Obs.Sink.active t.sink then
-        Obs.Sink.emit t.sink
-          (Obs.Event.v ~channel ~round:stamp.Deficit.round
-             ~dc:stamp.Deficit.dc ~size:pkt.Packet.size ~time:now
-             Obs.Event.Marker_sent);
+        Obs.Sink.emit_fields t.sink ~time:now ~channel
+          ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~size:pkt.Packet.size
+          ~seq:(-1) Obs.Event.Marker_sent;
       t.emit ~channel pkt
     done;
     (* Periodic-marker bookkeeping restarts with the epoch. *)
@@ -193,7 +191,8 @@ let crash_restart ?quanta t =
   | Some d ->
     let now = t.now () in
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink (Obs.Event.v ~time:now Obs.Event.Crash);
+      Obs.Sink.emit_fields t.sink ~time:now ~channel:(-1) ~round:(-1) ~dc:0
+        ~size:(-1) ~seq:(-1) Obs.Event.Crash;
     (* The crash loses every piece of striping state: round pointer,
        deficits, staged retunes, administrative suspensions, marker
        cadence bookkeeping. The restarted sender rebuilds from cold
@@ -209,8 +208,8 @@ let crash_restart ?quanta t =
     t.epoch <- t.epoch + 1;
     t.gen <- 0;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~round:t.epoch ~time:now Obs.Event.Restart);
+      Obs.Sink.emit_fields t.sink ~time:now ~channel:(-1) ~round:t.epoch ~dc:0
+        ~size:(-1) ~seq:(-1) Obs.Event.Restart;
     send_reset t
 
 let epoch t = t.epoch
@@ -239,10 +238,8 @@ let add_channel t ~quantum =
     t.per_chan_bytes <- Array.append t.per_chan_bytes [| 0 |];
     t.mid_marked <- Array.append t.mid_marked [| false |];
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c
-           ~size:(Scheduler.n_channels t.sched)
-           ~time:(t.now ()) Obs.Event.Member_add);
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1) ~dc:0
+        ~size:(Scheduler.n_channels t.sched) ~seq:(-1) Obs.Event.Member_add;
     (* The receiver learns the new width from the reset markers' epoch:
        the barrier only completes once one has arrived on every channel,
        including the newcomer. *)
@@ -272,25 +269,23 @@ let remove_channel t c =
     t.per_chan_bytes <- splice t.per_chan_bytes;
     t.mid_marked <- splice t.mid_marked;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c
-           ~size:(Scheduler.n_channels t.sched)
-           ~time:(t.now ()) Obs.Event.Member_remove)
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1) ~dc:0
+        ~size:(Scheduler.n_channels t.sched) ~seq:(-1) Obs.Event.Member_remove
 
 let suspend_channel t c =
   if not (Scheduler.suspended t.sched c) then begin
     Scheduler.suspend_channel t.sched c;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Suspend)
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1) ~dc:0
+        ~size:(-1) ~seq:(-1) Obs.Event.Suspend
   end
 
 let resume_channel t ?(reset = true) c =
   if Scheduler.suspended t.sched c then begin
     Scheduler.resume_channel t.sched c;
     if Obs.Sink.active t.sink then
-      Obs.Sink.emit t.sink
-        (Obs.Event.v ~channel:c ~time:(t.now ()) Obs.Event.Resume);
+      Obs.Sink.emit_fields t.sink ~time:(t.now ()) ~channel:c ~round:(-1) ~dc:0
+        ~size:(-1) ~seq:(-1) Obs.Event.Resume;
     (* The receiver has been simulating a sender that kept granting
        quanta to the suspended channel — its state is unreconstructible
        from what was delivered. Rebuild both ends from scratch with the

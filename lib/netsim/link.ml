@@ -51,8 +51,8 @@ let dummy : unit -> 'a = fun () -> Obj.magic ()
 
 let obs_emit t kind ~size =
   if Obs.Sink.active t.sink then
-    Obs.Sink.emit t.sink
-      (Obs.Event.v ~channel:t.obs_channel ~size ~time:(Sim.now t.sim) kind)
+    Obs.Sink.emit_fields t.sink ~time:(Sim.now t.sim) ~channel:t.obs_channel
+      ~round:(-1) ~dc:0 ~size ~seq:(-1) kind
 
 let[@inline] deliver_at t ~size ~at payload =
   Sim.schedule t.sim ~at (fun () ->

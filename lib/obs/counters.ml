@@ -150,6 +150,10 @@ let observe t (e : Event.t) =
         t.hw_buffered_packets_.(ch) <- t.buffered_packets_.(ch);
       if t.buffered_bytes_.(ch) > t.hw_buffered_bytes_.(ch) then
         t.hw_buffered_bytes_.(ch) <- t.buffered_bytes_.(ch)
+    | Event.Remove_discard ->
+      (* A removed channel's leftovers leave the buffer undelivered. *)
+      t.buffered_packets_.(ch) <- max 0 (t.buffered_packets_.(ch) - e.seq);
+      t.buffered_bytes_.(ch) <- max 0 (t.buffered_bytes_.(ch) - e.size)
     | Event.Reset_barrier -> t.resets <- t.resets + 1
     | Event.Round -> if e.round > t.rounds then t.rounds <- e.round
     | _ -> ()

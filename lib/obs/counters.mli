@@ -7,7 +7,8 @@
     telemetry a production striping deployment watches per member link.
 
     Buffer occupancy is derived from the resequencer's [Enqueue] (physical
-    reception buffered) and [Deliver] (logical reception) events; the
+    reception buffered), [Deliver] (logical reception) and
+    [Remove_discard] (a removed channel's leftovers) events; the
     high-water marks record how far physical reception ran ahead of logical
     reception on each channel. *)
 

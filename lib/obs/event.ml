@@ -28,6 +28,7 @@ type kind =
   | Crash
   | Restart
   | Epoch_discard
+  | Remove_discard
   | Violation
   | Health_suspect
   | Probation
@@ -35,20 +36,31 @@ type kind =
   | Reinstate
 
 type t = {
-  time : float;
-  kind : kind;
-  channel : int;
-  round : int;
-  dc : int;
-  size : int;
-  seq : int;
+  mutable time : float;
+  mutable kind : kind;
+  mutable channel : int;
+  mutable round : int;
+  mutable dc : int;
+  mutable size : int;
+  mutable seq : int;
 }
 
 let v ?(channel = -1) ?(round = -1) ?(dc = 0) ?(size = -1) ?(seq = -1) ~time
     kind =
   { time; kind; channel; round; dc; size; seq }
 
-let n_kinds = 34
+let copy e =
+  {
+    time = e.time;
+    kind = e.kind;
+    channel = e.channel;
+    round = e.round;
+    dc = e.dc;
+    size = e.size;
+    seq = e.seq;
+  }
+
+let n_kinds = 35
 
 (* Dense index for counter arrays; keep in sync with [kind] and
    [n_kinds]. *)
@@ -82,11 +94,12 @@ let kind_index = function
   | Crash -> 26
   | Restart -> 27
   | Epoch_discard -> 28
-  | Violation -> 29
-  | Health_suspect -> 30
-  | Probation -> 31
-  | Quarantine -> 32
-  | Reinstate -> 33
+  | Remove_discard -> 29
+  | Violation -> 30
+  | Health_suspect -> 31
+  | Probation -> 32
+  | Quarantine -> 33
+  | Reinstate -> 34
 
 let kind_name = function
   | Enqueue -> "enqueue"
@@ -118,6 +131,7 @@ let kind_name = function
   | Crash -> "crash"
   | Restart -> "restart"
   | Epoch_discard -> "epoch_discard"
+  | Remove_discard -> "remove_discard"
   | Violation -> "violation"
   | Health_suspect -> "health_suspect"
   | Probation -> "probation"
@@ -130,8 +144,8 @@ let all_kinds =
     Marker_applied; Skip; Block; Unblock; Reset_barrier; Deliver; Round;
     Channel_down; Channel_up; Watchdog_skip; Suspend; Resume; Dup_discard;
     Reorder_restore; Corrupt_discard; Buffer_overflow; Retune; Member_add;
-    Member_remove; Crash; Restart; Epoch_discard; Violation; Health_suspect;
-    Probation; Quarantine; Reinstate;
+    Member_remove; Crash; Restart; Epoch_discard; Remove_discard; Violation;
+    Health_suspect; Probation; Quarantine; Reinstate;
   ]
 
 let kind_of_name s =

@@ -53,7 +53,12 @@
       the {b Resequencer} emits the receiver-side pair). The
       {b Resequencer} also emits [Epoch_discard] (a buffered pre-crash
       packet discarded because a later-epoch marker proved it stale;
-      [size] = bytes discarded on the channel). [Violation] is reserved
+      [size] = bytes discarded on the channel, [seq] = packets) and
+      [Remove_discard] (data still buffered on a channel when its staged
+      removal adopts — possible only when the watchdog horizon forces the
+      removal's barrier — is discarded with it; [channel] = the leaving
+      channel's index before the splice, [size] = bytes,
+      [seq] = packets). [Violation] is reserved
       for the invariant monitors ({!Monitor}): it is emitted by the
       monitor itself, never by protocol components, when an always-on
       invariant (FIFO-after-quiet, budget, progress, conservation) is
@@ -101,6 +106,7 @@ type kind =
   | Crash
   | Restart
   | Epoch_discard
+  | Remove_discard
   | Violation
   | Health_suspect
   | Probation
@@ -108,14 +114,20 @@ type kind =
   | Reinstate
 
 type t = {
-  time : float;
-  kind : kind;
-  channel : int;
-  round : int;
-  dc : int;
-  size : int;
-  seq : int;
+  mutable time : float;
+  mutable kind : kind;
+  mutable channel : int;
+  mutable round : int;
+  mutable dc : int;
+  mutable size : int;
+  mutable seq : int;
 }
+(** The fields are mutable so that a sink can reuse one record for every
+    event it is handed ({!Sink.emit_fields}). An event passed to a sink
+    callback is {e borrowed}: it is valid only during the call, and the
+    next emission into the same sink overwrites it. A callback that keeps
+    an event must store {!copy} of it, and must not emit into the sink
+    that is calling it. *)
 
 val v :
   ?channel:int ->
@@ -127,7 +139,12 @@ val v :
   kind ->
   t
 (** Constructor with sentinel defaults ([channel]/[round]/[size]/[seq] =
-    [-1], [dc] = [0]). *)
+    [-1], [dc] = [0]). Allocates a fresh record: for tests, replays and
+    cold paths. Protocol components emit with {!Sink.emit_fields}. *)
+
+val copy : t -> t
+(** A fresh record with the same field values: how a callback keeps a
+    borrowed event past the call. *)
 
 val n_kinds : int
 (** Number of event kinds. *)

@@ -31,7 +31,7 @@ type t = {
   mutable last_seq : int;
   mutable inversions : int;
   (* Budget: shadow of the resequencer's buffered data bytes, from
-     Enqueue minus Deliver minus Epoch_discard. *)
+     Enqueue minus Deliver minus Epoch_discard and Remove_discard. *)
   mutable buffered : int;
   (* Progress: marker intervals in a row with data buffered and nothing
      delivered. *)
@@ -78,8 +78,8 @@ let violate t ~time fmt =
       t.n_violations <- t.n_violations + 1;
       t.violations <- (time, msg) :: t.violations;
       if Sink.active t.forward then
-        Sink.emit t.forward
-          (Event.v ~seq:t.n_events ~time Event.Violation))
+        Sink.emit_fields t.forward ~time ~channel:(-1) ~round:(-1) ~dc:0
+          ~size:(-1) ~seq:t.n_events Event.Violation)
     fmt
 
 let on_event t (e : Event.t) =
@@ -107,7 +107,8 @@ let on_event t (e : Event.t) =
         t.buffered b
     | Some _ | None -> ()
   end
-  | Event.Epoch_discard -> t.buffered <- t.buffered - e.size
+  | Event.Epoch_discard | Event.Remove_discard ->
+    t.buffered <- t.buffered - e.size
   | Event.Marker_applied ->
     (* A marker interval elapsed at the receiver. Data sitting buffered
        across [wedge_intervals] of them with no delivery means the scan

@@ -9,8 +9,8 @@
       counted as {!seq_inversions} but are legal quasi-FIFO slippage
       while chaos drains, Thm 5.1);
     - {b buffer budget}: the resequencer's buffered data bytes (shadowed
-      from [Enqueue]/[Deliver]/[Epoch_discard] events) never exceed the
-      configured budget;
+      from [Enqueue]/[Deliver]/[Epoch_discard]/[Remove_discard] events)
+      never exceed the configured budget;
     - {b progress}: data never sits buffered across [wedge_intervals]
       marker intervals with no delivery — the wedged-receiver detector;
     - {b liveness} (PROTOCOL.md §13): the health engine never drives a

@@ -478,6 +478,97 @@ let test_hot_add_remove_stays_fifo () =
     (List.init 150 Fun.id)
     (List.rev !delivered)
 
+(* A removal whose goodbye barrier is force-adopted can strand data on
+   the leaving channel: here ch2's round-1 packets arrive while the scan
+   waits on ch1, ch2's goodbye marker is lost with its link, and the
+   watchdog horizon forces the barrier once ch1's marker completes the
+   rest. The stranded packets leave with the channel — counted, reported
+   as one [Remove_discard], and dropped from every buffer shadow. *)
+let test_remove_discard_counted () =
+  let module Obs = Stripe_obs in
+  let clock = ref 0.0 in
+  let reg = Obs.Counters.create ~n:3 in
+  let monitor = Obs.Monitor.create () in
+  let trail = Obs.Sink.collector () in
+  let sink =
+    Obs.Sink.tee (Obs.Monitor.sink monitor)
+      (Obs.Sink.tee (Obs.Counters.sink reg) trail)
+  in
+  let delivered = ref 0 and delivered_bytes = ref 0 in
+  let reseq =
+    Resequencer.create
+      ~deficit:(Srr.create ~quanta:[| 1000; 1000; 1000 |] ())
+      ~now:(fun () -> !clock)
+      ~sink
+      ~watchdog:{ Resequencer.intervals = 3; fallback = 0.01 }
+      ~deliver:(fun ~channel:_ p ->
+        incr delivered;
+        delivered_bytes := !delivered_bytes + p.Packet.size)
+      ()
+  in
+  (* 600-byte packets against 1000-byte quanta: the sender puts two per
+     channel per round, ch0 first. *)
+  let size = 600 in
+  let rx c seq = Resequencer.receive reseq ~channel:c (Packet.data ~seq ~size ()) in
+  let goodbye c =
+    Resequencer.receive reseq ~channel:c
+      (Packet.marker ~reset:true ~gen:1 ~channel:c ~round:0 ~dc:1000
+         ~born:!clock ())
+  in
+  (* Round 0 arrives whole. *)
+  List.iter (fun (c, seq) -> rx c seq) [ (0, 0); (0, 1); (1, 2); (1, 3); (2, 4); (2, 5) ];
+  Alcotest.(check int) "round 0 delivered" 6 !delivered;
+  Resequencer.remove_channel reseq 2;
+  (* Round 1: ch0's and ch1's packets are lost, ch2's arrive and wait
+     behind the scan. *)
+  rx 2 10;
+  rx 2 11;
+  let wire_lost = 4 in
+  goodbye 0;
+  Alcotest.(check (option int)) "scan waits on ch1" (Some 1)
+    (Resequencer.blocked_on reseq);
+  Alcotest.(check int) "ch2's packets buffered" 2 (Resequencer.pending reseq);
+  (* ch2's goodbye marker is lost; ch1's arrives past the horizon. *)
+  clock := 0.1;
+  goodbye 1;
+  Alcotest.(check bool) "removal adopted" false
+    (Resequencer.transition_pending reseq);
+  Alcotest.(check int) "by a forced barrier" 1
+    (Resequencer.forced_barriers reseq);
+  Alcotest.(check (array int)) "two channels left" [| 1000; 1000 |]
+    (Resequencer.quanta reseq);
+  Alcotest.(check int) "stranded packets counted" 2
+    (Resequencer.remove_discards reseq);
+  Alcotest.(check int) "nothing left buffered" 0 (Resequencer.pending reseq);
+  let pushed = 12 in
+  Alcotest.(check bool) "packets: pushed = delivered + pending + drops" true
+    (Obs.Monitor.conserved ~pushed ~delivered:!delivered
+       ~pending:(Resequencer.pending reseq)
+       ~drops:[ wire_lost; Resequencer.remove_discards reseq ]);
+  let discards =
+    List.filter
+      (fun (e : Obs.Event.t) -> e.kind = Obs.Event.Remove_discard)
+      (Obs.Sink.events trail)
+  in
+  (match discards with
+  | [ e ] ->
+    Alcotest.(check int) "on the leaving channel" 2 e.channel;
+    Alcotest.(check int) "its packets" 2 e.seq;
+    Alcotest.(check int) "its bytes" (2 * size) e.size;
+    Alcotest.(check bool) "bytes: pushed = delivered + pending + drops" true
+      (Obs.Monitor.conserved ~pushed:(pushed * size)
+         ~delivered:!delivered_bytes
+         ~pending:(Resequencer.buffered_bytes reseq)
+         ~drops:[ wire_lost * size; e.size ])
+  | l -> Alcotest.failf "%d Remove_discard events, expected 1" (List.length l));
+  Alcotest.(check int) "monitor's buffer shadow matches the resequencer"
+    (Resequencer.buffered_bytes reseq)
+    (Obs.Monitor.buffered_bytes monitor);
+  Alcotest.(check int) "counters' buffer shadow for ch2 drained" 0
+    (Obs.Counters.channel reg 2).Obs.Counters.buffered_bytes;
+  Alcotest.(check int) "monitor saw no violation" 0
+    (Obs.Monitor.violations monitor)
+
 let test_one_transition_per_barrier () =
   let engine = Srr.create ~quanta:[| 1000; 1000 |] () in
   let reseq =
@@ -569,6 +660,8 @@ let suites =
           test_marker_cadence_adopts_up;
         Alcotest.test_case "hot add/remove FIFO" `Quick
           test_hot_add_remove_stays_fifo;
+        Alcotest.test_case "remove discards counted" `Quick
+          test_remove_discard_counted;
         Alcotest.test_case "one transition per barrier" `Quick
           test_one_transition_per_barrier;
         Alcotest.test_case "retune rides barrier" `Quick

@@ -328,6 +328,158 @@ let test_theorem51_trace_check () =
   Alcotest.(check bool) "FIFO delivery restored after resynchronization" true
     (Obs.Check.fifo_from ~time:(!errors_stop +. bound) events)
 
+let test_emit_allocation () =
+  (* A sink fills its one event record in place: with counters and
+     monitors teed together, the only allocation left per event is the
+     boxed timestamp. *)
+  let reg = Obs.Counters.create ~n:2 in
+  let m = Obs.Monitor.create () in
+  let sink = Obs.Sink.tee (Obs.Counters.sink reg) (Obs.Monitor.sink m) in
+  let seq = ref 0 in
+  let pair () =
+    incr seq;
+    let time = float_of_int !seq *. 1e-6 in
+    Obs.Sink.emit_fields sink ~time ~channel:1 ~round:(-1) ~dc:0 ~size:700
+      ~seq:!seq Obs.Event.Enqueue;
+    Obs.Sink.emit_fields sink ~time ~channel:1 ~round:!seq ~dc:0 ~size:700
+      ~seq:!seq Obs.Event.Deliver
+  in
+  pair ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    pair ()
+  done;
+  let w = (Gc.minor_words () -. w0) /. 20_000.0 in
+  if w > 2.0 then Alcotest.failf "%.2f minor words per event (budget 2)" w;
+  Alcotest.(check int) "every delivery counted" 10_001
+    (Obs.Counters.total_delivered_packets reg);
+  Alcotest.(check int) "monitor saw no violation" 0 (Obs.Monitor.violations m);
+  (* The same budget through a production component: a resequencer fed
+     packets in sender order reports an Enqueue and a Deliver per packet
+     (and Block/Unblock around its waits); with the tee installed it
+     allocates at most 2 words per event more than with no sink. *)
+  let n_pkts = 2_000 in
+  let pkts = Array.init n_pkts (fun seq -> Packet.data ~seq ~size:700 ()) in
+  let clock = ref 0.0 in
+  let run sink =
+    let sender = Srr.create ~quanta:[| 1500; 1500 |] () in
+    let reseq =
+      Resequencer.create
+        ~deficit:(Deficit.clone_initial sender)
+        ~now:(fun () -> !clock)
+        ~sink
+        ~deliver:(fun ~channel:_ _ -> ())
+        ()
+    in
+    let w0 = Gc.minor_words () in
+    Array.iter
+      (fun pkt ->
+        let channel = Deficit.select sender in
+        Deficit.consume sender ~size:700;
+        Resequencer.receive reseq ~channel pkt)
+      pkts;
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "all delivered" n_pkts (Resequencer.delivered reseq);
+    w
+  in
+  ignore (run Obs.Sink.null);
+  let bare = run Obs.Sink.null in
+  let reg = Obs.Counters.create ~n:2 in
+  let m = Obs.Monitor.create () in
+  let teed =
+    run (Obs.Sink.tee (Obs.Counters.sink reg) (Obs.Monitor.sink m))
+  in
+  let events = Obs.Counters.events_seen reg in
+  Alcotest.(check bool) "an enqueue and a delivery per packet, at least"
+    true
+    (events >= 2 * n_pkts);
+  let extra = (teed -. bare) /. float_of_int events in
+  if extra > 2.0 then
+    Alcotest.failf "resequencer: %.2f extra minor words per event (budget 2)"
+      extra
+
+let test_retaining_sinks_copy () =
+  (* Collector and ring keep their own copies of the borrowed record:
+     each kept event has the fields it was emitted with, and a snapshot
+     handed out is the caller's to mutate. *)
+  let c = Obs.Sink.collector () and r = Obs.Sink.ring ~capacity:3 in
+  let both = Obs.Sink.tee c r in
+  for i = 0 to 4 do
+    Obs.Sink.emit_fields both ~time:(float_of_int i) ~channel:(i mod 2)
+      ~round:i ~dc:(10 * i) ~size:(100 + i) ~seq:i Obs.Event.Deliver
+  done;
+  let fields (e : Obs.Event.t) = (e.channel, e.round, e.dc, e.size, e.seq) in
+  let expect i = (i mod 2, i, 10 * i, 100 + i, i) in
+  let fields_t =
+    Alcotest.(list (pair int (pair int (pair int (pair int int)))))
+  in
+  let nest (a, b, c, d, e) = (a, (b, (c, (d, e)))) in
+  let seen sink = List.map (fun e -> nest (fields e)) (Obs.Sink.events sink) in
+  Alcotest.(check fields_t) "collector keeps every event's own fields"
+    (List.init 5 (fun i -> nest (expect i)))
+    (seen c);
+  Alcotest.(check fields_t) "ring keeps the last three"
+    (List.map (fun i -> nest (expect i)) [ 2; 3; 4 ])
+    (seen r);
+  Alcotest.(check (list (float 0.0))) "timestamps kept"
+    [ 0.0; 1.0; 2.0; 3.0; 4.0 ]
+    (List.map (fun e -> e.Obs.Event.time) (Obs.Sink.events c));
+  List.iter (fun (e : Obs.Event.t) -> e.seq <- -7) (Obs.Sink.events c);
+  List.iter (fun (e : Obs.Event.t) -> e.seq <- -7) (Obs.Sink.events r);
+  Alcotest.(check (list int)) "collector snapshot is the caller's"
+    [ 0; 1; 2; 3; 4 ] (recorded_seqs c);
+  Alcotest.(check (list int)) "ring snapshot is the caller's" [ 2; 3; 4 ]
+    (recorded_seqs r)
+
+let test_monitor_forward_during_tee () =
+  (* The monitor emits its Violation into its forward sink while the tee
+     is still handing the triggering event out. The forward sink fills
+     its own record, so the tee's other side counts the original event —
+     even when the forward sink feeds the very same registry. *)
+  let reg = Obs.Counters.create ~n:2 in
+  let trail = Obs.Sink.collector () in
+  let m =
+    Obs.Monitor.create ~budget_bytes:1000
+      ~forward:(Obs.Sink.tee (Obs.Counters.sink reg) trail)
+      ()
+  in
+  let sink = Obs.Sink.tee (Obs.Monitor.sink m) (Obs.Counters.sink reg) in
+  Obs.Sink.emit_fields sink ~time:1.5 ~channel:1 ~round:(-1) ~dc:0
+    ~size:1500 ~seq:7 Obs.Event.Enqueue;
+  Alcotest.(check int) "budget violation raised" 1 (Obs.Monitor.violations m);
+  (match Obs.Sink.events trail with
+  | [ v ] ->
+    Alcotest.(check string) "forwarded kind" "violation"
+      (Obs.Event.kind_name v.kind);
+    Alcotest.(check (float 0.0)) "forwarded time" 1.5 v.time;
+    Alcotest.(check int) "forwarded event index" 1 v.seq
+  | l -> Alcotest.failf "%d forwarded events, expected 1" (List.length l));
+  Alcotest.(check int) "registry saw the violation and the enqueue" 2
+    (Obs.Counters.events_seen reg);
+  let c1 = Obs.Counters.channel reg 1 in
+  Alcotest.(check int) "enqueue buffered on channel 1" 1
+    c1.Obs.Counters.buffered_packets;
+  Alcotest.(check int) "with its bytes" 1500 c1.Obs.Counters.buffered_bytes
+
+let test_observed_scheduler_no_visit_alloc () =
+  (* [Scheduler.observe] listens to round boundaries only: selecting and
+     charging packets within a round builds no engine event. *)
+  let sched = Scheduler.srr ~quanta:[| 1000; 1000 |] () in
+  Scheduler.observe sched (Obs.Sink.collector ());
+  let pkt = Packet.data ~seq:0 ~size:100 () in
+  let w0 = Gc.minor_words () in
+  (* Ten packets drain channel 0's quantum, five more go to channel 1:
+     every visit begins, charges and ends inside round 0. *)
+  for _ = 1 to 15 do
+    let c = Scheduler.choose sched pkt in
+    Scheduler.account sched pkt c
+  done;
+  let w = Gc.minor_words () -. w0 in
+  let d = Option.get (Scheduler.deficit sched) in
+  Alcotest.(check int) "still in round 0" 0 (Deficit.round d);
+  Alcotest.(check int) "on channel 1" 1 (Deficit.current d);
+  Alcotest.(check (float 0.0)) "minor words within the round" 0.0 w
+
 let test_channel_report () =
   let reg = Obs.Counters.create ~n:2 in
   let s = Obs.Counters.sink reg in
@@ -362,5 +514,13 @@ let suites =
         Alcotest.test_case "theorem 5.1 from trace" `Quick
           test_theorem51_trace_check;
         Alcotest.test_case "channel report" `Quick test_channel_report;
+        Alcotest.test_case "emission allocates no record" `Quick
+          test_emit_allocation;
+        Alcotest.test_case "retaining sinks copy" `Quick
+          test_retaining_sinks_copy;
+        Alcotest.test_case "monitor forward during tee" `Quick
+          test_monitor_forward_during_tee;
+        Alcotest.test_case "observed scheduler: no per-visit alloc" `Quick
+          test_observed_scheduler_no_visit_alloc;
       ] );
   ]
