@@ -9,14 +9,16 @@ let create sim () = { sim; free_at = 0.0; consumed = 0.0 }
 let execute t ~cost k =
   if cost < 0.0 then invalid_arg "Cpu.execute: negative cost";
   let now = Stripe_netsim.Sim.now t.sim in
-  let start = max now t.free_at in
+  let start = if now >= t.free_at then now else t.free_at in
   t.free_at <- start +. cost;
   t.consumed <- t.consumed +. cost;
   Stripe_netsim.Sim.schedule t.sim ~at:t.free_at k
 
 let busy_until t = t.free_at
 
-let backlog t = max 0.0 (t.free_at -. Stripe_netsim.Sim.now t.sim)
+let backlog t =
+  let b = t.free_at -. Stripe_netsim.Sim.now t.sim in
+  if 0.0 >= b then 0.0 else b
 
 let busy_seconds t = t.consumed
 

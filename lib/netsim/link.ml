@@ -7,9 +7,17 @@ module Fifo_queue = Stripe_packet.Fifo_queue
    to rides in [ser_size]/[ser_payload] — only one packet serializes at
    a time), and [last_arrival] lives in a one-element float array
    because assigning a mutable float field of this mixed record would
-   box on every packet. Per packet, the only remaining allocation is the
-   arrival closure in [deliver_at], which genuinely needs its own
-   environment: several packets can be in flight at once. *)
+   box on every packet.
+
+   The wire is the same idiom again. A channel is a FIFO path, so the
+   copies in flight through the FIFO clamp form a FIFO too: they wait in
+   a second ring, [flight], and each is announced by scheduling the one
+   prebuilt [arrive] closure at its clamped arrival time. Clamped times
+   never decrease and the event queue fires equal times in insertion
+   order, so the k-th [arrive] to fire belongs to the k-th copy pushed.
+   Only the two kinds of copy that leave that FIFO keep a closure of
+   their own: a reordered copy (its arrival skips the clamp) and a
+   CRC-discarded one (it never delivers). *)
 
 type 'a t = {
   sim : Sim.t;
@@ -32,6 +40,8 @@ type 'a t = {
   mutable ser_size : int;
   mutable ser_payload : 'a;
   last_arrival : float array;
+  flight : 'a Fifo_queue.t;
+  mutable arrive : unit -> unit;
   mutable up : bool;
   mutable carrier_watchers : (up:bool -> unit) list;
   mutable n_sent : int;
@@ -54,38 +64,72 @@ let obs_emit t kind ~size =
     Obs.Sink.emit_fields t.sink ~time:(Sim.now t.sim) ~channel:t.obs_channel
       ~round:(-1) ~dc:0 ~size ~seq:(-1) kind
 
-let[@inline] deliver_at t ~size ~at payload =
-  Sim.schedule t.sim ~at (fun () ->
-      if not t.up then begin
-        (* Lost in flight: the link died under the packet. *)
-        t.n_down_drops <- t.n_down_drops + 1;
-        obs_emit t Obs.Event.Drop ~size
-      end
-      else begin
-        t.n_delivered <- t.n_delivered + 1;
-        t.b_delivered <- t.b_delivered + size;
-        obs_emit t Obs.Event.Arrival ~size;
-        t.deliver payload
-      end)
+(* One copy reaches the far end: dropped if the carrier died under it,
+   delivered otherwise. *)
+let[@inline] land_copy t ~size payload =
+  if not t.up then begin
+    (* Lost in flight: the link died under the packet. *)
+    t.n_down_drops <- t.n_down_drops + 1;
+    obs_emit t Obs.Event.Drop ~size
+  end
+  else begin
+    t.n_delivered <- t.n_delivered + 1;
+    t.b_delivered <- t.b_delivered + size;
+    obs_emit t Obs.Event.Arrival ~size;
+    t.deliver payload
+  end
+
+(* The prebuilt [arrive] event: the oldest copy on the in-flight ring is
+   the one arriving now. *)
+let arrive t =
+  let size = Fifo_queue.peek_size_unsafe t.flight in
+  land_copy t ~size (Fifo_queue.pop_exn t.flight)
+
+(* A reordered copy leaves the FIFO, so it gets an arrival event of its
+   own. Kept out of [launch_copy]: a function that builds a closure is
+   never inlined, and [launch_copy] must be, or its float argument is
+   boxed on every packet. *)
+let schedule_own t ~size ~at payload =
+  Sim.schedule t.sim ~at (fun () -> land_copy t ~size payload)
+
+(* Put a copy that will be delivered on the wire: onto the in-flight
+   ring behind the shared [arrive] event, unless reordering took it out
+   of FIFO order. *)
+let[@inline] launch_copy t ~size ~reordered ~at payload =
+  if reordered then schedule_own t ~size ~at payload
+  else begin
+    Fifo_queue.push t.flight ~size payload;
+    Sim.schedule t.sim ~at t.arrive
+  end
 
 (* Schedule one arrival (propagation + jitter, clamped to preserve FIFO),
    applying the impairment profile: a reordered copy gets an extra
    unclamped delay (and leaves [last_arrival] alone, so later packets may
    overtake it); a corrupted copy is either discarded at the receiving
    interface (the simulated CRC — corruption below the protocol is loss)
-   or, when the [corrupt] hook chooses, delivered mangled. *)
+   or, when the [corrupt] hook chooses, delivered mangled. Floats are
+   compared explicitly: Stdlib [max] boxes both arguments. *)
 let schedule_copy t ~size payload =
   let imp = t.impair in
-  let extra = match t.jitter with None -> 0.0 | Some j -> max 0.0 (j t.rng) in
+  let extra =
+    match t.jitter with
+    | None -> 0.0
+    | Some j ->
+      let x = j t.rng in
+      if 0.0 >= x then 0.0 else x
+  in
   let base = Sim.now t.sim +. t.prop_delay +. extra in
+  let reordered =
+    imp.Impair.reorder_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.reorder_p
+  in
   let arrival =
-    if imp.Impair.reorder_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.reorder_p
-    then begin
+    if reordered then begin
       t.n_reordered <- t.n_reordered + 1;
       base +. Rng.float t.rng imp.Impair.reorder_window
     end
     else begin
-      let a = max base t.last_arrival.(0) in
+      let last = t.last_arrival.(0) in
+      let a = if base >= last then base else last in
       t.last_arrival.(0) <- a;
       a
     end
@@ -93,12 +137,12 @@ let schedule_copy t ~size payload =
   let corrupted =
     imp.Impair.corrupt_p > 0.0 && Rng.bernoulli t.rng ~p:imp.Impair.corrupt_p
   in
-  if not corrupted then deliver_at t ~size ~at:arrival payload
+  if not corrupted then launch_copy t ~size ~reordered ~at:arrival payload
   else begin
     t.n_corrupted <- t.n_corrupted + 1;
     let damaged = match t.corrupt with None -> None | Some f -> f payload in
     match damaged with
-    | Some payload' -> deliver_at t ~size ~at:arrival payload'
+    | Some payload' -> launch_copy t ~size ~reordered ~at:arrival payload'
     | None ->
       (* The receiving interface's CRC catches the damage: the packet is
          discarded on arrival, indistinguishable from wire loss to the
@@ -179,6 +223,8 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
       ser_size = 0;
       ser_payload = dummy ();
       last_arrival = [| 0.0 |];
+      flight = Fifo_queue.create ();
+      arrive = ignore;
       up = true;
       carrier_watchers = [];
       n_sent = 0;
@@ -195,6 +241,7 @@ let create sim ?(name = "link") ~rate_bps ~prop_delay ?jitter ?rng ?loss
     }
   in
   t.ser_done <- (fun () -> ser_complete t);
+  t.arrive <- (fun () -> arrive t);
   t
 
 let send t ~size payload =

@@ -9,6 +9,14 @@
     deliberately breaks that assumption (reordering, duplication,
     corruption) to exercise the receiver's containment machinery.
 
+    Arrival ordering: clamped arrival times never decrease, and copies
+    arriving at the same instant are delivered in transmission order
+    (the event queue fires equal times in insertion order). The link
+    relies on this: its in-flight copies wait in a FIFO ring behind one
+    reusable arrival event, so carrying a packet allocates nothing. Only
+    an {!Impair}-reordered copy, which skips the clamp, and a copy the
+    simulated CRC discards get an arrival event of their own.
+
     The link is generic in its payload type; callers pass the wire size of
     each payload explicitly, so this module has no dependency on any
     particular packet format.

@@ -150,8 +150,10 @@ let observe t (e : Event.t) =
         t.hw_buffered_packets_.(ch) <- t.buffered_packets_.(ch);
       if t.buffered_bytes_.(ch) > t.hw_buffered_bytes_.(ch) then
         t.hw_buffered_bytes_.(ch) <- t.buffered_bytes_.(ch)
-    | Event.Remove_discard ->
-      (* A removed channel's leftovers leave the buffer undelivered. *)
+    | Event.Remove_discard | Event.Epoch_discard ->
+      (* A removed channel's leftovers, or a crash-sync flush, leave the
+         buffer undelivered: [size] carries the bytes, [seq] the
+         packets. *)
       t.buffered_packets_.(ch) <- max 0 (t.buffered_packets_.(ch) - e.seq);
       t.buffered_bytes_.(ch) <- max 0 (t.buffered_bytes_.(ch) - e.size)
     | Event.Reset_barrier -> t.resets <- t.resets + 1

@@ -8,7 +8,8 @@
 
     Buffer occupancy is derived from the resequencer's [Enqueue] (physical
     reception buffered), [Deliver] (logical reception) and
-    [Remove_discard] (a removed channel's leftovers) events; the
+    [Remove_discard] (a removed channel's leftovers) and [Epoch_discard]
+    (a crash-sync flush) events; the
     high-water marks record how far physical reception ran ahead of logical
     reception on each channel. *)
 

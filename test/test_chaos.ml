@@ -10,6 +10,8 @@ open Stripe_core
 open Stripe_packet
 module Bundle_pool = Stripe_fleet.Bundle_pool
 module Monitor = Stripe_obs.Monitor
+module Counters = Stripe_obs.Counters
+module Sink = Stripe_obs.Sink
 module Recovery = Stripe_metrics.Recovery
 
 let check = Alcotest.(check bool)
@@ -50,13 +52,13 @@ type pair = {
   delivered : int list ref;
 }
 
-let make ?(marker_every = 0) ~n () =
+let make ?(marker_every = 0) ?sink ~n () =
   let quanta = Array.make n 1000 in
   let engine = Srr.create ~quanta () in
   let wires = Array.init n (fun _ -> Queue.create ()) in
   let delivered = ref [] in
   let reseq =
-    Resequencer.create
+    Resequencer.create ?sink
       ~deficit:(Deficit.clone_initial engine)
       ~deliver:(fun ~channel:_ p -> delivered := p.Packet.seq :: !delivered)
       ()
@@ -160,6 +162,39 @@ let test_sender_crash_survives_lost_reset_markers () =
     "steady state restored after losing the reset barrier"
     (List.init 40 (fun i -> 200 + i))
     (List.rev !(t.delivered))
+
+(* A crash-sync flush leaves the buffer undelivered: every shadow of the
+   buffered bytes must see it ([Epoch_discard] carries the bytes). *)
+let test_crash_flush_keeps_buffer_shadows () =
+  let counters = Counters.create ~n:2 and monitor = Monitor.create () in
+  let sink = Sink.tee (Counters.sink counters) (Monitor.sink monitor) in
+  let t = make ~marker_every:2 ~sink ~n:2 () in
+  for seq = 0 to 19 do
+    push t seq
+  done;
+  (* Channel 0's traffic is lost, so channel 1's waits in the buffer. *)
+  Queue.clear t.wires.(0);
+  shuttle t;
+  check "data buffered at the crash" true
+    (Resequencer.buffered_bytes t.reseq > 0);
+  Striper.crash_restart t.striper;
+  for seq = 100 to 119 do
+    push t seq
+  done;
+  (* The restart's marker reaches channel 1 first, ahead of anything
+     that could unblock its buffered data. *)
+  Array.iter
+    (fun c ->
+      Queue.iter (Resequencer.receive t.reseq ~channel:c) t.wires.(c);
+      Queue.clear t.wires.(c))
+    [| 1; 0 |];
+  check "the crash-sync flushed buffered data" true
+    (Resequencer.epoch_discards t.reseq > 0);
+  let buffered = Resequencer.buffered_bytes t.reseq in
+  check_int "Monitor shadow" buffered (Monitor.buffered_bytes monitor);
+  check_int "Counters shadow" buffered
+    ((Counters.channel counters 0).Counters.buffered_bytes
+    + (Counters.channel counters 1).Counters.buffered_bytes)
 
 (* --- Receiver crash + cold restart ---------------------------------- *)
 
@@ -614,6 +649,8 @@ let suites =
           test_sender_crash_restart_recovers;
         Alcotest.test_case "sender crash survives lost reset markers" `Quick
           test_sender_crash_survives_lost_reset_markers;
+        Alcotest.test_case "crash flush keeps buffer shadows" `Quick
+          test_crash_flush_keeps_buffer_shadows;
         Alcotest.test_case "receiver cold restart" `Quick
           test_receiver_cold_restart;
         Alcotest.test_case "generation tag pairs consecutive barriers" `Quick

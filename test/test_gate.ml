@@ -46,7 +46,7 @@ let test_reader_shapes () =
     (field disc "rfq_clean" "resync_ms" = Some "-1.000");
   let thr = rows_of "throughput" ~key:"engine" in
   check "throughput quick words/pkt" true
-    (field thr "calendar-quick" "minor_words_per_packet" = Some "29.79")
+    (field thr "calendar-quick" "minor_words_per_packet" = Some "16.60")
 
 let test_reader_nested_shards () =
   let fleet = rows_of "fleet" ~key:"engine" in

@@ -1,6 +1,7 @@
 (* Tests for the FIFO link model: serialization timing, FIFO preservation
-   under jitter, rate changes, MTU, transmit-queue overflow, and
-   counters. *)
+   under jitter, rate changes, MTU, transmit-queue overflow, counters,
+   the wire's allocation and reachability, and a randomized property over
+   impairments, carrier flaps and rate changes. *)
 
 open Stripe_netsim
 
@@ -139,6 +140,270 @@ let test_invalid_create () =
       ignore
         (Link.create sim ~rate_bps:0.0 ~prop_delay:0.0 ~deliver:ignore ()))
 
+(* --- Allocation ------------------------------------------------------ *)
+
+(* The wire's per-packet cost beyond the event queue's own. A link run
+   of [n] packets (one send tick, one serialization-complete and one
+   arrival event each) is measured against a bare simulator firing the
+   same three events per packet through prebuilt closures at computed
+   times. Both halves box the same event times in a dev build, so the
+   difference is the link's own allocation in either profile. *)
+let words_per_packet ~n run =
+  let sim = Sim.create () in
+  let got = run sim in
+  (* Warm-up: the event slab and the link's rings reach their high
+     water during the first half. *)
+  Sim.run_until sim (float_of_int (n / 2) *. 1e-3);
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every packet arrives" n !got;
+  w /. float_of_int (n - (n / 2))
+
+let interval = 1e-3
+let prop = 0.002
+let rate = ref 8e6
+
+let link_run ~n sim =
+  let got = ref 0 in
+  let link =
+    Link.create sim ~rate_bps:!rate ~prop_delay:prop
+      ~deliver:(fun (_ : string) -> incr got)
+      ()
+  in
+  let sent = ref 0 in
+  let rec tick () =
+    ignore (Link.send link ~size:500 "payload");
+    incr sent;
+    if !sent < n then Sim.schedule_after sim ~delay:interval tick
+  in
+  Sim.schedule sim ~at:0.0 tick;
+  got
+
+let bare_run ~n sim =
+  let got = ref 0 in
+  let sent = ref 0 in
+  let arrive () = incr got in
+  let ser_done () = Sim.schedule sim ~at:(Sim.now sim +. prop) arrive in
+  let rec tick () =
+    (* Computed at run time, as the link does: a dev build boxes it. *)
+    let ser_time = float_of_int (500 * 8) /. !rate in
+    Sim.schedule_after sim ~delay:ser_time ser_done;
+    incr sent;
+    if !sent < n then Sim.schedule_after sim ~delay:interval tick
+  in
+  Sim.schedule sim ~at:0.0 tick;
+  got
+
+let test_allocation () =
+  let n = 20_000 in
+  let link = words_per_packet ~n (link_run ~n) in
+  let bare = words_per_packet ~n (bare_run ~n) in
+  Printf.printf "link %.2f words/packet, bare Sim %.2f\n" link bare;
+  if link -. bare > 1.0 then
+    Alcotest.failf "link allocates %.2f words/packet over a bare Sim's %.2f"
+      (link -. bare) bare
+
+(* --- Reachability ---------------------------------------------------- *)
+
+(* Delivered payloads must be collectable: neither the transmit queue,
+   the serializer's staging field, the in-flight ring nor a spent
+   per-copy event may keep one alive. Reordered and duplicated copies
+   exercise both arrival paths. *)
+let send_weak link w n =
+  for i = 0 to n - 1 do
+    let p = ref i in
+    Weak.set w i (Some p);
+    ignore (Link.send link ~size:100 p)
+  done
+[@@inline never]
+
+let test_delivered_collectable () =
+  let sim = Sim.create () in
+  let n = 200 in
+  let w = Weak.create n in
+  let link =
+    Link.create sim ~rate_bps:1e6 ~prop_delay:0.001
+      ~impair:(Impair.make ~reorder_p:0.3 ~reorder_window:0.01 ~dup_p:0.2 ())
+      ~rng:(Rng.create 5)
+      ~deliver:(fun (_ : int ref) -> ())
+      ()
+  in
+  send_weak link w n;
+  Sim.run sim;
+  Gc.full_major ();
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr live
+  done;
+  Alcotest.(check int) "delivered payloads are collectable" 0 !live;
+  (* Keeps [link] reachable across the collections above. *)
+  Alcotest.(check int) "every copy delivered"
+    (n + Link.duplicated_packets link)
+    (Link.delivered_packets link)
+
+(* --- Randomized wire property ---------------------------------------- *)
+
+type wire_case = {
+  seed : int;
+  sends : float list;  (* send instants, one per packet *)
+  jitter : float;
+  loss_p : float;
+  reorder_p : float;
+  dup_p : float;
+  corrupt_p : float;
+  hook : int;  (* 0: no hook; 1: always mangle; 2: mangle odd ids *)
+  flaps : (float * bool) list;
+  rates : (float * float) list;
+}
+
+let wire_case_gen =
+  let open QCheck.Gen in
+  let prob = oneof [ return 0.0; float_range 0.0 0.4 ] in
+  let time = float_range 0.0 0.2 in
+  let* seed = int_bound 10_000 in
+  let* sends = list_size (int_range 1 150) time in
+  let* jitter = oneof [ return 0.0; float_range 0.0 0.01 ] in
+  let* loss_p = prob in
+  let* reorder_p = prob in
+  let* dup_p = prob in
+  let* corrupt_p = prob in
+  let* hook = int_bound 2 in
+  let* flaps = list_size (int_bound 6) (pair time bool) in
+  let* rates = list_size (int_bound 4) (pair time (float_range 1e5 8e6)) in
+  return
+    {
+      seed;
+      sends = List.sort compare sends;
+      jitter;
+      loss_p;
+      reorder_p;
+      dup_p;
+      corrupt_p;
+      hook;
+      flaps;
+      rates;
+    }
+
+let print_wire_case c =
+  Printf.sprintf
+    "seed=%d sends=%d jitter=%g loss=%g reorder=%g dup=%g corrupt=%g hook=%d \
+     flaps=[%s] rates=[%s]"
+    c.seed (List.length c.sends) c.jitter c.loss_p c.reorder_p c.dup_p
+    c.corrupt_p c.hook
+    (String.concat ";"
+       (List.map (fun (t, u) -> Printf.sprintf "%g:%b" t u) c.flaps))
+    (String.concat ";"
+       (List.map (fun (t, r) -> Printf.sprintf "%g:%g" t r) c.rates))
+
+(* Longest non-decreasing subsequence: the copies that kept send order. *)
+let lnds xs =
+  let tails = Array.make (List.length xs + 1) max_int in
+  let len = ref 0 in
+  List.iter
+    (fun x ->
+      (* First tail strictly greater than [x]. *)
+      let lo = ref 0 and hi = ref !len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if tails.(mid) <= x then lo := mid + 1 else hi := mid
+      done;
+      tails.(!lo) <- x;
+      if !lo = !len then incr len)
+    xs;
+  !len
+
+(* Packet [id] is sent with size [id + 1], so a [Dequeue] event names the
+   packet it starts serializing. A mangled copy carries [-(id + 1)]. *)
+let run_wire_case c =
+  let sim = Sim.create () in
+  let n = List.length c.sends in
+  let prop_delay = 0.003 in
+  let ser_end = Array.make n nan in
+  let link_ref = ref None in
+  let sink =
+    Stripe_obs.Sink.of_fn (fun e ->
+        if e.Stripe_obs.Event.kind = Stripe_obs.Event.Dequeue then
+          match !link_ref with
+          | Some link ->
+            let size = e.Stripe_obs.Event.size in
+            ser_end.(size - 1) <-
+              Sim.now sim +. (float_of_int (size * 8) /. Link.rate_bps link)
+          | None -> ())
+  in
+  let delivered = ref [] in
+  let early = ref false and unsent = ref false and dark = ref false in
+  let deliver v =
+    let id = if v < 0 then -v - 1 else v in
+    if id < 0 || id >= n || Float.is_nan ser_end.(id) then unsent := true
+    else if Sim.now sim < ser_end.(id) +. prop_delay then early := true;
+    (match !link_ref with
+    | Some link -> if not (Link.is_up link) then dark := true
+    | None -> ());
+    delivered := id :: !delivered
+  in
+  let corrupt =
+    match c.hook with
+    | 0 -> None
+    | 1 -> Some (fun v -> Some (-v - 1))
+    | _ -> Some (fun v -> if v land 1 = 1 then Some (-v - 1) else None)
+  in
+  let impair =
+    Impair.make ~reorder_p:c.reorder_p ~reorder_window:0.02 ~dup_p:c.dup_p
+      ~corrupt_p:c.corrupt_p ()
+  in
+  let jitter =
+    if c.jitter > 0.0 then Some (fun r -> Rng.float r c.jitter) else None
+  in
+  let link =
+    Link.create sim ~rate_bps:1e6 ~prop_delay ?jitter ~rng:(Rng.create c.seed)
+      ~loss:(Loss.bernoulli ~p:c.loss_p) ~impair ?corrupt ~sink ~deliver ()
+  in
+  link_ref := Some link;
+  List.iter
+    (fun (at, up) -> Sim.schedule sim ~at (fun () -> Link.set_up link up))
+    c.flaps;
+  List.iter
+    (fun (at, r) -> Sim.schedule sim ~at (fun () -> Link.set_rate_bps link r))
+    c.rates;
+  List.iteri
+    (fun id at ->
+      Sim.schedule sim ~at (fun () -> ignore (Link.send link ~size:(id + 1) id)))
+    c.sends;
+  Sim.run sim;
+  let delivered = List.rev !delivered in
+  let n_delivered = List.length delivered in
+  let balance =
+    n + Link.duplicated_packets link
+    = Link.txq_drops link + Link.lost_packets link + Link.down_drops link
+      + Link.delivered_packets link + Link.corrupt_drops link
+  in
+  let ok = ref true in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        ok := false;
+        QCheck.Test.fail_report m)
+      fmt
+  in
+  if !unsent then fail "a delivered copy was never sent";
+  if !early then fail "a copy arrived before serialization end + prop_delay";
+  if !dark then fail "a copy was delivered while the carrier was down";
+  if n_delivered <> Link.delivered_packets link then
+    fail "delivered counter %d, callbacks %d" (Link.delivered_packets link)
+      n_delivered;
+  if lnds delivered < n_delivered - Link.reordered_packets link then
+    fail "%d deliveries, %d reordered, only %d in send order" n_delivered
+      (Link.reordered_packets link) (lnds delivered);
+  if not balance then fail "counters do not balance";
+  !ok
+
+let prop_wire =
+  QCheck.Test.make ~count:300 ~name:"wire: random impairments, flaps, rates"
+    (QCheck.make ~print:print_wire_case wire_case_gen)
+    run_wire_case
+
 let suites =
   [
     ( "link",
@@ -154,5 +419,9 @@ let suites =
         Alcotest.test_case "queue accounting" `Quick test_queue_accounting;
         Alcotest.test_case "byte counters" `Quick test_byte_counters;
         Alcotest.test_case "invalid create" `Quick test_invalid_create;
+        Alcotest.test_case "allocation" `Quick test_allocation;
+        Alcotest.test_case "delivered collectable" `Quick
+          test_delivered_collectable;
+        QCheck_alcotest.to_alcotest prop_wire;
       ] );
   ]
