@@ -535,8 +535,7 @@ let run_cell ~profile ~discipline ~bundles ~seed ~inject ~domains () =
     Printf.sprintf "%s%s-%d-s%d" profile.pname
       (match discipline with
       | Bundle_pool.Srr -> ""
-      | Bundle_pool.Sprinklers _ -> "-spr"
-      | Bundle_pool.Load_aware -> "-la")
+      | Bundle_pool.Sprinklers _ -> "-spr")
       bundles seed
   in
   ( {
@@ -655,16 +654,15 @@ let () =
             fun v -> profile_filter := Some v );
         Gate.Value
           ( "--discipline",
-            "srr|sprinklers|load-aware",
+            "srr|sprinklers",
             fun v ->
               discipline :=
                 match v with
                 | "srr" -> Bundle_pool.Srr
                 | "sprinklers" -> Bundle_pool.Sprinklers 0x5eed
-                | "load-aware" -> Bundle_pool.Load_aware
                 | _ ->
                   Printf.eprintf
-                    "unknown discipline %S (want srr|sprinklers|load-aware)\n" v;
+                    "unknown discipline %S (want srr|sprinklers)\n" v;
                   exit 2 );
         Gate.Value
           ( "--domains",
@@ -731,11 +729,16 @@ let () =
         | p :: _, n :: _ -> List.map (fun s -> (p, n, s)) (List.tl seeds)
         | _ -> [])
   in
+  let label =
+    match !discipline with
+    | Bundle_pool.Srr -> "SRR"
+    | Bundle_pool.Sprinklers _ -> "Sprinklers"
+  in
   Printf.printf
-    "exp_chaos: %d cells x 4ch SRR fleet, chaos horizon %.1fs, quiet line = \
+    "exp_chaos: %d cells x 4ch %s fleet, chaos horizon %.1fs, quiet line = \
      last event + cadence-scaled grace (>= %.1fs), %.0fk pkts/s offered%s\n\
      %!"
-    (List.length cells) chaos_horizon drain_grace
+    (List.length cells) label chaos_horizon drain_grace
     (packet_rate /. 1000.0)
     (if !domains > 1 then Printf.sprintf ", %d domains" !domains else "");
   let runs =
@@ -753,8 +756,10 @@ let () =
     (fun file ->
       Gate.write file
         ~scenario:
-          "chaos soak: 4ch SRR fleet, seeded storms + endpoint crashes, \
-           monitors on"
+          (Printf.sprintf
+             "chaos soak: 4ch %s fleet, seeded storms + endpoint crashes, \
+              monitors on"
+             label)
         ~array:"runs"
         (List.map (fun r -> Gate.row ~key:"run" ~tag:r.tag fields r) runs))
     opts.json;

@@ -7,9 +7,7 @@
                  quanta scaled to burst granularity + seeded per-round
                  permuted visit order — still causal, still replayed),
                  RFQ (seeded random draw per packet — causal but
-                 engine-less), Load-aware (min completion time by
-                 transmit-queue debt over rate — non-causal). The
-                 engine-less disciplines deliver in arrival order.
+                 engine-less, so it delivers in arrival order).
    scenarios     clean | impair (channel 1 reorders/duplicates/corrupts
                  behind a channel guard until 1.2 s) | failover
                  (channel 2 carrier drops at 0.5 s, heals at 1.1 s,
@@ -62,16 +60,8 @@ let gray_at = 0.5
 let run_until = 1.6
 let drain_until = 2.0
 let guard_window = 48
-let max_packet = 1500
-let sprinklers_seed = 0x5eed
-
-type disc = Srr_d | Rr_d | Grr_d | Sprinklers_d | Rfq_d | Load_aware_d
-
-let disciplines =
-  [
-    ("srr", Srr_d); ("rr", Rr_d); ("grr", Grr_d);
-    ("sprinklers", Sprinklers_d); ("rfq", Rfq_d); ("load-aware", Load_aware_d);
-  ]
+let seed = 0x5eed
+let disciplines = [ "srr"; "rr"; "grr"; "sprinklers"; "rfq" ]
 
 type scenario = Clean | Impair_s | Failover | Health_s
 
@@ -132,33 +122,15 @@ type result = {
   resync_ms : float;  (* negative = FIFO never restored / not applicable *)
 }
 
-let run_cell (disc_slug, disc) (scen_slug, scen) =
+let run_cell disc_slug (scen_slug, scen) =
   let sim = Sim.create () in
   let master = Rng.create 4242 in
   let recovery = Stripe_metrics.Recovery.create () in
   let reorder = Reorder.create () in
   let depth = Depth.create () in
   let delivered_bytes = ref 0 in
-  let engine_opt =
-    match disc with
-    | Srr_d ->
-      Some (Srr.for_rates ~max_packet ~rates_bps:rates ~quantum_unit:1500 ())
-    | Rr_d -> Some (Rr.create ~n ())
-    | Grr_d -> Some (Grr.for_rates ~rates_bps:rates ())
-    | Sprinklers_d ->
-      Some
-        (Sprinklers.for_rates ~max_packet ~seed:sprinklers_seed
-           ~rates_bps:rates ~quantum_unit:1500 ())
-    | Rfq_d | Load_aware_d -> None
-  in
-  let la_debt = ref (fun (_ : int) -> 0.0) in
-  let scheduler =
-    match engine_opt, disc with
-    | Some e, _ -> Scheduler.of_deficit ~name:disc_slug e
-    | None, Rfq_d -> Scheduler.seeded_rfq ~n ~seed:sprinklers_seed
-    | None, _ ->
-      Scheduler.load_aware ~weights:rates ~debt:(fun c -> !la_debt c) ~n ()
-  in
+  let scheduler = Scheduler.of_discipline ~seed ~rates_bps:rates disc_slug in
+  let engine_opt = Scheduler.deficit scheduler in
   let deliver ~channel:_ (pkt : Packet.t) =
     Stripe_metrics.Recovery.observe recovery ~now:(Sim.now sim)
       ~seq:pkt.Packet.seq;
@@ -221,7 +193,6 @@ let run_cell (disc_slug, disc) (scen_slug, scen) =
             | None -> ingest i pkt)
           ())
   in
-  la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
   let tx_tags = Channel_guard.Tx.create ~n in
   let striper =
     Striper.create ~scheduler
@@ -359,12 +330,9 @@ let print_table rows =
   print_endline
     "under SRR's at the same goodput, which shrinks the resequencing buffer";
   print_endline
-    "the receiver must hold. The engine-less disciplines (rfq/load-aware)";
+    "the receiver must hold. The engine-less rfq delivers in arrival order:";
   print_endline
-    "deliver in arrival order: load-aware's queue-debt selector keeps the";
-  print_endline
-    "wire busy (goodput) but surrenders ordering entirely - the depth and";
-  print_endline "inversion columns price that trade.\n"
+    "its depth and inversion columns price giving up the replayed engine.\n"
 
 (* The Sprinklers acceptance bar, enforced on every run: on the bursty
    clean scenario it must beat SRR's arrival reorder depth strictly, at

@@ -54,24 +54,16 @@ let channels =
 let scheduler_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [
-             ("srr", `Srr); ("rr", `Rr); ("grr", `Grr); ("random", `Random);
-             ("rfq", `Rfq); ("sprinklers", `Sprinklers);
-             ("load-aware", `Load_aware);
-           ])
-        `Srr
+    & opt (enum (List.map (fun d -> (d, d)) Scheduler.disciplines)) "srr"
     & info [ "s"; "scheduler"; "discipline" ] ~docv:"SCHED"
         ~doc:
           "Striping discipline: $(b,srr), $(b,rr), $(b,grr), \
            $(b,sprinklers) (randomized variable-size stripes — SRR quanta \
            scaled to burst granularity with a seeded per-round permuted \
            visit order; causal, works with quasi mode), $(b,rfq) (seeded \
-           randomized fair queuing, §3.4 — causal but engine-less), \
-           $(b,load-aware) (min-load selection by transmit-queue debt \
-           over relative rate; non-causal), or $(b,random). Engine-less \
-           disciplines deliver in arrival order under $(b,--mode quasi).")
+           randomized fair queuing, §3.4 — causal but engine-less), or \
+           $(b,random). Engine-less disciplines deliver in arrival order \
+           under $(b,--mode quasi).")
 
 let mode_arg =
   Arg.(
@@ -450,41 +442,8 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
       | None -> obs_sink
     in
     let rates = Array.map (fun c -> c.rate) confs in
-    (* Load-aware's debt oracle: outstanding transmit-queue bytes per
-       link. The links are built after the scheduler (per mode), so the
-       oracle reads through a cell that [make_links] fills in. *)
-    let la_debt = ref (fun (_ : int) -> 0.0) in
-    let engine_opt =
-      match sched_kind with
-      | `Srr ->
-        Some (Srr.for_rates ~max_packet:1500 ~rates_bps:rates ~quantum_unit:1500 ())
-      | `Rr -> Some (Rr.create ~n ())
-      | `Grr -> Some (Grr.for_rates ~rates_bps:rates ())
-      | `Sprinklers ->
-        Some
-          (Sprinklers.for_rates ~max_packet:1500 ~seed ~rates_bps:rates
-             ~quantum_unit:1500 ())
-      | `Random | `Rfq | `Load_aware -> None
-    in
-    let make_scheduler () =
-      match engine_opt with
-      | Some e ->
-        Scheduler.of_deficit
-          ~name:
-            (match sched_kind with
-            | `Srr -> "SRR" | `Rr -> "RR" | `Grr -> "GRR"
-            | `Sprinklers -> "Sprinklers"
-            | `Random | `Rfq | `Load_aware -> ".")
-          e
-      | None -> (
-        match sched_kind with
-        | `Rfq -> Scheduler.seeded_rfq ~n ~seed
-        | `Load_aware ->
-          Scheduler.load_aware ~weights:rates
-            ~debt:(fun c -> !la_debt c)
-            ~n ()
-        | _ -> Scheduler.random_selection ~n ~seed)
-    in
+    let scheduler = Scheduler.of_discipline ~seed ~rates_bps:rates sched_kind in
+    let engine_opt = Scheduler.deficit scheduler in
     let sink = make_sink () in
     let lossy = ref true in
     let errors_stop = ref None in
@@ -557,7 +516,6 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
               ())
           confs
       in
-      la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
       fault_ref := (fun schedule -> Fault.apply sim ~links schedule);
       clear_impair :=
         (fun () ->
@@ -568,7 +526,6 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
     let push, describe =
       match mode with
       | `Quasi | `None | `Seq ->
-        let scheduler = make_scheduler () in
         if Obs.Sink.active obs_sink then
           Scheduler.observe scheduler ~now:(fun () -> Sim.now sim) obs_sink;
         let receive_cell = ref (fun _ _ -> ()) in
@@ -1042,7 +999,7 @@ let run channel_confs sched_kind mode n_packets workload_kind marker_rounds
         in
         receiver := Some rx;
         let sender =
-          Mppp.Sender.create ~scheduler:(make_scheduler ())
+          Mppp.Sender.create ~scheduler
             ~emit:(fun ~link f ->
               ignore (Link.send links.(link) ~size:(Mppp.wire_size f) (false, f)))
             ()

@@ -61,68 +61,6 @@ let seeded_random ~name ~n ~seed =
         { select; update; reset });
   }
 
-(* Min-load selection (the memec StripeList LOAD_AWARE idiom) as a pure
-   CFQ algorithm: the packet goes to the channel with the least
-   cumulative bytes per unit weight. The state — bytes already assigned
-   per channel — is a function of previously transmitted packets only,
-   so in this pure form the scheme is causal in the §3.1 sense (the live
-   fleet variant in {!Scheduler.load_aware} instead reads wire state the
-   receiver cannot see, and is not). Ties break to the lowest index,
-   which also fixes the initial order: deterministic throughout. *)
-let load_aware ?weights ~name ~n () =
-  if n <= 0 then invalid_arg "Cfq.load_aware: n must be positive";
-  let w =
-    match weights with
-    | None -> Array.make n 1.0
-    | Some w ->
-      if Array.length w <> n then
-        invalid_arg "Cfq.load_aware: weight vector width mismatch";
-      Array.iter
-        (fun x ->
-          if (not (Float.is_finite x)) || x <= 0.0 then
-            invalid_arg "Cfq.load_aware: weights must be positive")
-        w;
-      Array.copy w
-  in
-  {
-    name;
-    n;
-    fresh =
-      (fun () ->
-        let assigned = Array.make n 0 in
-        let pick () =
-          let best = ref 0 in
-          let best_load = ref (float_of_int assigned.(0) /. w.(0)) in
-          for c = 1 to n - 1 do
-            let l = float_of_int assigned.(c) /. w.(c) in
-            if l < !best_load then begin
-              best := c;
-              best_load := l
-            end
-          done;
-          !best
-        in
-        let pending = ref None in
-        let select () =
-          match !pending with
-          | Some c -> c
-          | None ->
-            let c = pick () in
-            pending := Some c;
-            c
-        in
-        let update ~size =
-          let c = match !pending with Some c -> c | None -> pick () in
-          assigned.(c) <- assigned.(c) + size;
-          pending := None
-        in
-        let reset () =
-          Array.fill assigned 0 n 0;
-          pending := None
-        in
-        { select; update; reset });
-  }
-
 let load_share cfq packets =
   let inst = cfq.fresh () in
   List.map

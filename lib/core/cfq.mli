@@ -53,17 +53,6 @@ val seeded_random : name:string -> n:int -> seed:int -> t
     simulate it. Expected bytes per channel are identical, i.e. RFQ is
     fair in the randomized sense of §3.3. *)
 
-val load_aware : ?weights:float array -> name:string -> n:int -> unit -> t
-(** Min-load selection (the memec [StripeList] LOAD_AWARE idiom) in pure
-    form: each packet goes to the channel with the least cumulative
-    assigned bytes per unit [weight] (default all equal), ties to the
-    lowest index. Because the state is exactly the multiset of
-    previously transmitted packets, this pure variant is causal in the
-    §3.1 sense and satisfies the E ↔ E' duality; the fleet deployment
-    ({!Scheduler.load_aware}) replaces the cumulative counter with live
-    wire debt, which the receiver cannot see — that variant is not
-    causal. Weights must be positive. *)
-
 val load_share : t -> (int * 'a) list -> (int * (int * 'a)) list
 (** [load_share cfq packets] runs the transformed algorithm over an input
     sequence of [(size, payload)] pairs, as in Figure 3. Returns the

@@ -10,9 +10,6 @@ type t = {
   susp : bool array;
       (* Suspension flags for engine-less schedulers; engine-backed ones
          delegate to the deficit engine, which skips natively. *)
-  set_weights_fn : (float array -> unit) option;
-      (* Live migration hook: only load-aware selection has per-channel
-         weights that can be swapped mid-run. *)
   remake : unit -> t;
 }
 
@@ -70,24 +67,6 @@ let account t pkt c = t.account_fn pkt c
 let deficit t = t.engine
 let reset t = t.remake ()
 
-let supports_weights t = t.set_weights_fn <> None
-
-let set_weights t weights =
-  match t.set_weights_fn with
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Scheduler.set_weights: %s has no channel weights"
-         t.sched_name)
-  | Some f ->
-    if Array.length weights <> n_channels t then
-      invalid_arg "Scheduler.set_weights: weight vector width mismatch";
-    Array.iter
-      (fun w ->
-        if (not (Float.is_finite w)) || w <= 0.0 then
-          invalid_arg "Scheduler.set_weights: weights must be positive")
-      weights;
-    f weights
-
 let observe t ?(now = fun () -> 0.0) sink =
   match t.engine with
   | None -> ()
@@ -113,7 +92,7 @@ let observe t ?(now = fun () -> 0.0) sink =
              ->
              ()))
 
-let rec make ?set_weights:sw ~name ~causal ~n ~fresh () =
+let rec make ~name ~causal ~n ~fresh () =
   let choose_fn, account_fn, engine = fresh () in
   {
     sched_name = name;
@@ -123,8 +102,7 @@ let rec make ?set_weights:sw ~name ~causal ~n ~fresh () =
     account_fn;
     engine;
     susp = Array.make n false;
-    set_weights_fn = sw;
-    remake = (fun () -> make ?set_weights:sw ~name ~causal ~n ~fresh ());
+    remake = (fun () -> make ~name ~causal ~n ~fresh ());
   }
 
 let of_deficit ~name d =
@@ -154,8 +132,11 @@ let rr ~n () = of_deficit ~name:"RR" (Rr.create ~n ())
 
 let grr ~ratios () = of_deficit ~name:"GRR" (Grr.create ~ratios ())
 
-let random_selection ~n ~seed =
-  if n <= 0 then invalid_arg "Scheduler.random_selection: n must be positive";
+(* A fresh seeded draw per packet: the body of both [random_selection]
+   and [seeded_rfq], which differ only in name and in whether the
+   receiver is assumed to share the seed. *)
+let seeded_draw ~fn ~name ~causal ~n ~seed =
+  if n <= 0 then invalid_arg ("Scheduler." ^ fn ^ ": n must be positive");
   let fresh () =
     let rng = Stripe_netsim.Rng.create seed in
     let pending = ref None in
@@ -170,7 +151,10 @@ let random_selection ~n ~seed =
     let account_fn (_ : Packet.t) (_ : int) = pending := None in
     (choose_fn, account_fn, None)
   in
-  make ~name:"Random" ~causal:false ~n ~fresh ()
+  make ~name ~causal ~n ~fresh ()
+
+let random_selection ~n ~seed =
+  seeded_draw ~fn:"random_selection" ~name:"Random" ~causal:false ~n ~seed
 
 let shortest_queue ~queue_bytes ~n =
   if n <= 0 then invalid_arg "Scheduler.shortest_queue: n must be positive";
@@ -202,63 +186,7 @@ let sprinklers ?max_packet ?stripe_scale ~seed ~rates_bps ~quantum_unit () =
    machinery (which replays a deficit engine) does not apply; arrival
    order is the delivery order. *)
 let seeded_rfq ~n ~seed =
-  if n <= 0 then invalid_arg "Scheduler.seeded_rfq: n must be positive";
-  let fresh () =
-    let rng = Stripe_netsim.Rng.create seed in
-    let pending = ref None in
-    let choose_fn (_ : Packet.t) =
-      match !pending with
-      | Some c -> c
-      | None ->
-        let c = Stripe_netsim.Rng.int rng n in
-        pending := Some c;
-        c
-    in
-    let account_fn (_ : Packet.t) (_ : int) = pending := None in
-    (choose_fn, account_fn, None)
-  in
-  make ~name:"RFQ" ~causal:true ~n ~fresh ()
-
-(* Min-load selection in the memec StripeList style: each packet goes to
-   the channel with the least outstanding serialization debt, normalized
-   by a per-channel weight (its relative rate). [debt] is the caller's
-   oracle — queued bytes, wire busy time, whatever the layer can see.
-   Weights are mutable via [set_weights] so a retune migrates load live
-   instead of rebuilding the scheduler. Non-causal: the selection reads
-   link state the receiver cannot reconstruct. *)
-let load_aware ?weights ~debt ~n () =
-  if n <= 0 then invalid_arg "Scheduler.load_aware: n must be positive";
-  let w =
-    match weights with
-    | None -> Array.make n 1.0
-    | Some w ->
-      if Array.length w <> n then
-        invalid_arg "Scheduler.load_aware: weight vector width mismatch";
-      Array.iter
-        (fun x ->
-          if (not (Float.is_finite x)) || x <= 0.0 then
-            invalid_arg "Scheduler.load_aware: weights must be positive")
-        w;
-      Array.copy w
-  in
-  let fresh () =
-    let choose_fn (_ : Packet.t) =
-      let best = ref 0 and best_load = ref (debt 0 /. w.(0)) in
-      for c = 1 to n - 1 do
-        let l = debt c /. w.(c) in
-        if l < !best_load then begin
-          best := c;
-          best_load := l
-        end
-      done;
-      !best
-    in
-    let account_fn (_ : Packet.t) (_ : int) = () in
-    (choose_fn, account_fn, None)
-  in
-  make
-    ~set_weights:(fun weights -> Array.blit weights 0 w 0 n)
-    ~name:"Load-aware" ~causal:false ~n ~fresh ()
+  seeded_draw ~fn:"seeded_rfq" ~name:"RFQ" ~causal:true ~n ~seed
 
 let address_hashing ~n =
   if n <= 0 then invalid_arg "Scheduler.address_hashing: n must be positive";
@@ -270,3 +198,23 @@ let address_hashing ~n =
     (choose_fn, account_fn, None)
   in
   make ~name:"Hash" ~causal:false ~n ~fresh ()
+
+let disciplines = [ "srr"; "rr"; "grr"; "sprinklers"; "rfq"; "random" ]
+
+(* Every single-bundle discipline from one place, with the parameters
+   the simulator, the discipline matrix and the tests all run. *)
+let of_discipline ~seed ~rates_bps name =
+  let n = Array.length rates_bps in
+  match name with
+  | "srr" ->
+    of_deficit ~name:"SRR"
+      (Srr.for_rates ~max_packet:1500 ~rates_bps ~quantum_unit:1500 ())
+  | "rr" -> rr ~n ()
+  | "grr" -> of_deficit ~name:"GRR" (Grr.for_rates ~rates_bps ())
+  | "sprinklers" ->
+    sprinklers ~max_packet:1500 ~seed ~rates_bps ~quantum_unit:1500 ()
+  | "rfq" -> seeded_rfq ~n ~seed
+  | "random" -> random_selection ~n ~seed
+  | _ ->
+    invalid_arg
+      (Printf.sprintf "Scheduler.of_discipline: unknown discipline %S" name)

@@ -59,26 +59,6 @@ val seeded_rfq : n:int -> seed:int -> t
     replays the draws), but engine-less: the quasi-FIFO machinery, which
     replays a {!Deficit} engine, does not apply. *)
 
-val load_aware : ?weights:float array -> debt:(int -> float) -> n:int -> unit -> t
-(** Min-load selection (the memec [StripeList] LOAD_AWARE idiom): each
-    packet goes to the channel minimizing [debt c /. weight c], where
-    [debt] is the caller's oracle for outstanding serialization debt —
-    transmit-queue bytes, wire busy horizon ({!Stripe_fleet} exposes
-    [wire_busy_until]), or any other load signal the layer can see.
-    [weights] (default all 1.0, must be positive) express relative
-    channel capacity; swap them live with {!set_weights} when rates are
-    retuned. Non-causal: the receiver cannot reconstruct link state. *)
-
-val set_weights : t -> float array -> unit
-(** Replace the channel weight vector of a {!load_aware} scheduler in
-    place — live load migration on retune, no rebuild, takes effect from
-    the next selection. Raises [Invalid_argument] for schedulers without
-    weights ({!supports_weights} is [false]), on width mismatch, or on
-    non-positive weights. *)
-
-val supports_weights : t -> bool
-(** Whether {!set_weights} is available (only {!load_aware}). *)
-
 val random_selection : n:int -> seed:int -> t
 (** Random channel per packet (the [Bay95] Random Selection scheme).
     Shares load in expectation; provides no FIFO delivery. Marked
@@ -94,6 +74,20 @@ val address_hashing : n:int -> t
 (** Address-based hashing [Bay95]: the packet's flow label is hashed to a
     channel, so all packets of one flow share a channel. FIFO per flow,
     but no load sharing across packets of a single flow. *)
+
+val disciplines : string list
+(** The names {!of_discipline} accepts: [srr], [rr], [grr],
+    [sprinklers], [rfq], [random]. *)
+
+val of_discipline : seed:int -> rates_bps:float array -> string -> t
+(** [of_discipline ~seed ~rates_bps name] builds discipline [name] over
+    one channel per rate: [srr] ({!Srr.for_rates}, max packet and
+    quantum unit 1500), [rr], [grr] ({!Grr.for_rates}), [sprinklers]
+    (max packet and quantum unit 1500, permutations from [seed]), and
+    the engine-less [rfq] and [random] (draws from [seed]). {!deficit}
+    tells the two kinds apart: [None] means the receiver gets no engine
+    to replay and delivers in arrival order. Raises [Invalid_argument]
+    on any other name. *)
 
 val suspend_channel : t -> int -> unit
 (** Remove a channel from selection (its member link died or was taken

@@ -36,13 +36,8 @@ open Stripe_core
    same quanta and fairness bound but permutes the per-round visit order
    from [seed] (each slot decorrelates with its own derived seed) — the
    receiver replays the permutation from the cloned engine, so the whole
-   marker/resequencer machinery is unchanged. [Load_aware] is the
-   non-causal min-completion-time selector: each push goes to the
-   channel that would finish serving it soonest given current wire debt.
-   No receiver-side engine can replay that choice, so Load_aware slots
-   bypass the resequencer and deliver in arrival order — quasi-FIFO
-   metrics ([seq_inversions]) become diagnostic, not a violation. *)
-type discipline = Srr | Sprinklers of int | Load_aware
+   marker/resequencer machinery is unchanged. *)
+type discipline = Srr | Sprinklers of int
 
 type config = {
   rate_bps : float array;
@@ -113,9 +108,6 @@ type t = {
   mutable live : bool array;
   mutable tx : Deficit.t array;
   mutable rx : Resequencer.t array;
-  mutable deliverf : (channel:int -> Packet.t -> unit) array;
-      (* The slot's delivery closure — what the resequencer calls, and
-         what [Load_aware] slots call directly (arrival order). *)
   mutable gtx : Channel_guard.Tx.t array;  (* empty unless [use_guard] *)
   mutable grx : Channel_guard.t array;  (* empty unless [use_guard] *)
   mutable next_mark : int array;  (* first round >= this gets markers *)
@@ -204,16 +196,7 @@ let rx_ingest t id c pkt =
     if not (Packet.is_marker pkt) then
       t.rx_down_dp.(id) <- t.rx_down_dp.(id) + 1
   end
-  else
-    match t.discipline with
-    | Load_aware ->
-      (* No receiver-side engine can replay a load-based choice (it
-         depends on wire state the receiver never sees), so there is no
-         resequencer to drive: data delivers in arrival order and
-         markers — which only exist to replay a sender engine — are
-         discarded. *)
-      if not (Packet.is_marker pkt) then t.deliverf.(id) ~channel:c pkt
-    | Srr | Sprinklers _ -> Resequencer.receive t.rx.(id) ~channel:c pkt
+  else Resequencer.receive t.rx.(id) ~channel:c pkt
 
 (* Feed one surviving arrival to the slot's receive side. With the
    guard on, the tag is reproduced from a per-slot-channel counter: the
@@ -257,11 +240,7 @@ let make_deliver t id =
       if s > 0 then begin
         if s < t.last_seq.(id) then begin
           t.ooo.(id) <- t.ooo.(id) + 1;
-          (* Arrival order is Load_aware's delivery contract — there is
-             no resequencer to repair wire skew, so an inversion is a
-             property of the channels, not a protocol violation.
-             [seq_inversions] still counts it as a diagnostic. *)
-          if now >= t.fifo_check_after && t.discipline <> Load_aware then begin
+          if now >= t.fifo_check_after then begin
             t.fifo_viol.(id) <- t.fifo_viol.(id) + 1;
             t.fifo_violations <- t.fifo_violations + 1;
             if t.first_violation = None then
@@ -280,7 +259,7 @@ let make_deliver t id =
 let slot_order t i =
   match t.discipline with
   | Sprinklers seed -> Deficit.Permuted (seed + (i * 0x632be5ab))
-  | Srr | Load_aware -> Deficit.Fixed
+  | Srr -> Deficit.Fixed
 
 (* Build slots [t.cap, cap): every expensive component a bundle will
    ever need on this slot is created here, exactly once. *)
@@ -293,13 +272,12 @@ let grow_to t cap =
       (fun i ->
         Deficit.create ~order:(slot_order t i) ~quanta:(Array.copy t.quanta) ())
       t.tx;
-  t.deliverf <- extend (fun i -> make_deliver t i) t.deliverf;
   t.rx <-
     extend
       (fun i ->
         Resequencer.create
           ~deficit:(Deficit.clone_initial t.tx.(i))
-          ~now:t.now_fn ?watchdog:t.watchdog ~deliver:t.deliverf.(i) ())
+          ~now:t.now_fn ?watchdog:t.watchdog ~deliver:(make_deliver t i) ())
       t.rx;
   if t.use_guard then begin
     t.gtx <- extend (fun _ -> Channel_guard.Tx.create ~n:t.n_ch) t.gtx;
@@ -407,7 +385,6 @@ let create ?(initial_capacity = 64) ?(stamp_seq = false) ?(sender_aware = true)
       live = [||];
       tx = [||];
       rx = [||];
-      deliverf = [||];
       gtx = [||];
       grx = [||];
       next_mark = [||];
@@ -595,32 +572,6 @@ let transmit t id c ~size pkt =
   end
   end
 
-(* Min-completion-time selector (Load_aware): the channel that would
-   finish serving these bytes soonest, given its current wire debt
-   ([busy]) and effective service rate. Suspensions are still honored —
-   carrier state and quarantine verdicts flow through the engine's
-   suspend set whatever the discipline. Caller guarantees at least one
-   active channel. *)
-let pick_least_loaded t id ~size d =
-  let now = Sim.now t.sim in
-  let base = id * t.n_ch in
-  let best = ref (-1) and best_fin = ref infinity in
-  for c = 0 to t.n_ch - 1 do
-    if not (Deficit.suspended d c) then begin
-      let b = t.busy.(base + c) in
-      let depart = if b > now then b else now in
-      let fin =
-        depart
-        +. (float_of_int (size * 8) /. (t.rate_bps.(c) *. t.rate_scale.(c)))
-      in
-      if fin < !best_fin then begin
-        best_fin := fin;
-        best := c
-      end
-    end
-  done;
-  !best
-
 let push t id ~size =
   check_live t id "push";
   if size <= 0 then invalid_arg "Bundle_pool.push: size must be positive";
@@ -638,15 +589,8 @@ let push t id ~size =
       t.no_active_dp.(id) <- t.no_active_dp.(id) + 1
     else begin
       (* Select settles the round the packet belongs to (as in
-         [Striper.push]); the marker check below compares against it.
-         Load_aware never consults or advances the round machinery — the
-         engine is only its suspend set — so its round never wraps and
-         the marker branch below never fires. *)
-      let c =
-        match t.discipline with
-        | Load_aware -> pick_least_loaded t id ~size d
-        | Srr | Sprinklers _ -> Deficit.select d
-      in
+         [Striper.push]); the marker check below compares against it. *)
+      let c = Deficit.select d in
       let round_before = Deficit.round d in
       let pkt =
         if t.stamp_seq then begin
@@ -657,9 +601,7 @@ let push t id ~size =
         else intern t size
       in
       transmit t id c ~size pkt;
-      (match t.discipline with
-      | Load_aware -> ()
-      | Srr | Sprinklers _ -> Deficit.consume d ~size);
+      Deficit.consume d ~size;
       t.pushed_p.(id) <- t.pushed_p.(id) + 1;
       t.pushed_b.(id) <- t.pushed_b.(id) + size;
       match t.policy with
@@ -705,26 +647,21 @@ let push t id ~size =
    on ordinary periodic markers keeps a restarted sender's receiver
    re-anchoring channel by channel. *)
 let send_slot_reset t id =
-  (* Load_aware has no replayable engine to resynchronize and its
-     receiver discards markers: a barrier would only burn wire time. *)
-  if t.discipline = Load_aware then ()
-  else begin
-    let d = t.tx.(id) in
-    Deficit.reinit d;
-    t.tx_gen.(id) <- t.tx_gen.(id) + 1;
-    let now = Sim.now t.sim in
-    for ch = 0 to t.n_ch - 1 do
-      let stamp = Deficit.next_stamp d ch in
-      let m =
-        Packet.marker ~reset:true ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
-          ~channel:ch
-          ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~born:now ()
-      in
-      transmit t id ch ~size:m.Packet.size m;
-      t.markers <- t.markers + 1
-    done;
-    t.next_mark.(id) <- 0
-  end
+  let d = t.tx.(id) in
+  Deficit.reinit d;
+  t.tx_gen.(id) <- t.tx_gen.(id) + 1;
+  let now = Sim.now t.sim in
+  for ch = 0 to t.n_ch - 1 do
+    let stamp = Deficit.next_stamp d ch in
+    let m =
+      Packet.marker ~reset:true ~epoch:t.tx_epoch.(id) ~gen:t.tx_gen.(id)
+        ~channel:ch
+        ~round:stamp.Deficit.round ~dc:stamp.Deficit.dc ~born:now ()
+    in
+    transmit t id ch ~size:m.Packet.size m;
+    t.markers <- t.markers + 1
+  done;
+  t.next_mark.(id) <- 0
 
 let channel_up t c =
   if c < 0 || c >= t.n_ch then
@@ -934,13 +871,6 @@ let resync t =
    skipped and counted; the target is recomputed next tick, so deferral
    self-heals. *)
 let flush_health_quanta t =
-  (* Quanta do not govern a Load_aware pool — selection is pure wire
-     debt, and a probation's "smaller quantum" has no cadence to shrink.
-     (The quarantine/suspend half of the health verdict still applies
-     through the engines' suspend sets.) Retuning here would also stage
-     receiver transitions whose adopting barrier never arrives. *)
-  if t.discipline = Load_aware then ()
-  else begin
   let target = health_target t in
   for id = 0 to t.cap - 1 do
     if
@@ -961,7 +891,6 @@ let flush_health_quanta t =
           send_slot_reset t id
         end
   done
-  end
 
 let health_tick t ~now =
   match t.health with

@@ -54,15 +54,11 @@
       so the receiver's cloned engine replays it and the whole
       marker/reset machinery works unchanged. Pair with larger quanta
       (see {!Stripe_core.Sprinklers}) for variable-size stripes.
-    - [Load_aware]: non-causal min-completion-time selection — each
-      push goes to the channel that would finish serving it soonest
-      given current wire serialization debt and effective rate
-      (suspensions/quarantines still honored). No receiver engine can
-      replay wire state, so these slots deliver in {e arrival} order
-      (the resequencer is bypassed, markers are discarded, reset
-      barriers and health retunes are no-ops): {!seq_inversions} is a
-      diagnostic, not a violation, and FIFO checks do not apply. *)
-type discipline = Srr | Sprinklers of int | Load_aware
+
+    Both are causal: the receiver replays the sender's engine. A
+    non-causal selector has no place here, since logical reception
+    (§3) needs the replay. *)
+type discipline = Srr | Sprinklers of int
 
 type config = {
   rate_bps : float array;  (** Per-channel wire rate (bits/s, > 0). *)

@@ -133,18 +133,6 @@ let prop_duality_sprinklers =
       let input = List.mapi (fun i size -> (size, i)) sizes in
       duality_roundtrip cfq input)
 
-let prop_duality_load_aware =
-  QCheck.Test.make ~name:"duality holds for pure min-load selection"
-    ~count:200
-    QCheck.(pair rates_gen sizes_gen)
-    (fun (w, sizes) ->
-      let weights = Array.of_list (List.map float_of_int w) in
-      let cfq =
-        Cfq.load_aware ~weights ~name:"LA" ~n:(Array.length weights) ()
-      in
-      let input = List.mapi (fun i size -> (size, i)) sizes in
-      duality_roundtrip cfq input)
-
 let test_seeded_random_is_causal () =
   (* Two instances from the same configuration make identical decisions:
      exactly what lets a seed-sharing receiver simulate the sender. *)
@@ -247,6 +235,5 @@ let suites =
         QCheck_alcotest.to_alcotest prop_duality_seeded_random;
         QCheck_alcotest.to_alcotest prop_duality_for_rates;
         QCheck_alcotest.to_alcotest prop_duality_sprinklers;
-        QCheck_alcotest.to_alcotest prop_duality_load_aware;
       ] );
   ]

@@ -16,13 +16,7 @@ let seed = 0x5eed
 let run_until = 0.4
 let max_packet = 1500
 
-type disc = Srr_d | Sprinklers_d | Rfq_d | Load_aware_d
-
-let all_discs =
-  [
-    ("srr", Srr_d); ("sprinklers", Sprinklers_d); ("rfq", Rfq_d);
-    ("load-aware", Load_aware_d);
-  ]
+let all_discs = [ "srr"; "sprinklers"; "rfq" ]
 
 (* A miniature of the bench rig: 3 delay-skewed links, the striper over
    the discipline under test, a resequencer for the engine-backed
@@ -35,24 +29,8 @@ let run_e2e disc =
   let sim = Sim.create () in
   let trace = ref [] in
   let bytes = ref 0 in
-  let engine_opt =
-    match disc with
-    | Srr_d ->
-      Some (Srr.for_rates ~max_packet ~rates_bps:rates ~quantum_unit:1500 ())
-    | Sprinklers_d ->
-      Some
-        (Sprinklers.for_rates ~max_packet ~seed ~rates_bps:rates
-           ~quantum_unit:1500 ())
-    | Rfq_d | Load_aware_d -> None
-  in
-  let la_debt = ref (fun (_ : int) -> 0.0) in
-  let scheduler =
-    match engine_opt, disc with
-    | Some e, _ -> Scheduler.of_deficit ~name:"disc" e
-    | None, Rfq_d -> Scheduler.seeded_rfq ~n ~seed
-    | None, _ ->
-      Scheduler.load_aware ~weights:rates ~debt:(fun c -> !la_debt c) ~n ()
-  in
+  let scheduler = Scheduler.of_discipline ~seed ~rates_bps:rates disc in
+  let engine_opt = Scheduler.deficit scheduler in
   let deliver ~channel (pkt : Packet.t) =
     trace := (Sim.now sim, pkt.Packet.seq, channel) :: !trace;
     bytes := !bytes + pkt.Packet.size
@@ -80,7 +58,6 @@ let run_e2e disc =
           ~deliver:(fun pkt -> ingest i pkt)
           ())
   in
-  la_debt := (fun c -> float_of_int (Link.queue_bytes links.(c)));
   let striper =
     Striper.create ~scheduler
       ?marker:
@@ -113,9 +90,9 @@ let run_e2e disc =
   Sim.run sim;
   (List.rev !trace, !bytes)
 
-let test_seeded_rerun_identical (slug, disc) () =
-  let a, ab = run_e2e disc in
-  let b, bb = run_e2e disc in
+let test_seeded_rerun_identical slug () =
+  let a, ab = run_e2e slug in
+  let b, bb = run_e2e slug in
   Alcotest.(check bool) (slug ^ ": something was delivered") true (ab > 0);
   Alcotest.(check bool) (slug ^ ": reruns byte-identical") true
     (ab = bb && a = b)
@@ -169,51 +146,31 @@ let test_sprinklers_fairness_empirical () =
         Alcotest.failf "channel %d deviates %.0f B > bound %d B" c dev bound)
     per_chan
 
-(* Load-aware fairness pin: with equal weights, pure min-load selection
-   keeps the per-channel assigned totals within one maximum packet of
-   each other at every prefix (assign-to-argmin can never push the
-   chosen channel more than Max past the current minimum). *)
-let test_load_aware_spread_pin () =
-  let cfq = Cfq.load_aware ~name:"LA" ~n () in
-  let inst = cfq.Cfq.fresh () in
-  let rng = Rng.create 7 in
-  let per_chan = Array.make n 0 in
-  for _ = 1 to 3000 do
-    let size = 64 + Rng.int rng (max_packet - 63) in
-    let c = inst.Cfq.select () in
-    inst.Cfq.update ~size;
-    per_chan.(c) <- per_chan.(c) + size;
-    let mx = Array.fold_left max per_chan.(0) per_chan in
-    let mn = Array.fold_left min per_chan.(0) per_chan in
-    if mx - mn > max_packet then
-      Alcotest.failf "spread %d B exceeds one max packet" (mx - mn)
-  done
-
-(* Live migration: swapping the weight vector of a load-aware scheduler
-   redirects selection from the next packet, no rebuild. *)
-let test_load_aware_set_weights_migrates () =
-  let debt = [| 100.0; 100.0; 100.0 |] in
-  let s = Scheduler.load_aware ~debt:(fun c -> debt.(c)) ~n () in
-  Alcotest.(check bool) "supports weights" true (Scheduler.supports_weights s);
-  Alcotest.(check bool) "no deficit engine" true (Scheduler.deficit s = None);
-  let pkt = Packet.data ~seq:0 ~born:0.0 ~size:100 () in
-  (* Equal debt, equal weights: ties to the lowest index. *)
-  Alcotest.(check int) "tie to channel 0" 0 (Scheduler.choose s pkt);
-  Scheduler.account s pkt 0;
-  (* Retune: channel 2 is now 10x the capacity, so the same debt is the
-     least normalized load there. *)
-  Scheduler.set_weights s [| 1.0; 1.0; 10.0 |];
-  Alcotest.(check int) "retuned weights migrate selection" 2
-    (Scheduler.choose s pkt);
-  Alcotest.(check_raises) "width mismatch rejected"
-    (Invalid_argument "Scheduler.set_weights: weight vector width mismatch")
-    (fun () -> Scheduler.set_weights s [| 1.0 |]);
-  Alcotest.(check_raises) "non-positive weight rejected"
-    (Invalid_argument "Scheduler.set_weights: weights must be positive")
-    (fun () -> Scheduler.set_weights s [| 1.0; 0.0; 1.0 |]);
-  let srr = Scheduler.srr ~quanta:[| 1500; 1500 |] () in
-  Alcotest.(check bool) "srr has no weights" false
-    (Scheduler.supports_weights srr)
+(* The one discipline constructor: every listed name builds, the
+   engine-backed disciplines hand back the engine the receiver replays,
+   the engine-less ones none, and any other name is refused. *)
+let test_of_discipline () =
+  List.iter
+    (fun name ->
+      let s = Scheduler.of_discipline ~seed ~rates_bps:rates name in
+      Alcotest.(check int) (name ^ ": width") n (Scheduler.n_channels s);
+      let engine =
+        match name with
+        | "srr" | "rr" | "grr" | "sprinklers" -> true
+        | _ -> false
+      in
+      Alcotest.(check bool) (name ^ ": has engine") engine
+        (Scheduler.deficit s <> None))
+    Scheduler.disciplines;
+  Alcotest.(check (list string)) "names"
+    [ "srr"; "rr"; "grr"; "sprinklers"; "rfq"; "random" ]
+    Scheduler.disciplines;
+  List.iter
+    (fun name ->
+      match Scheduler.of_discipline ~seed ~rates_bps:rates name with
+      | _ -> Alcotest.failf "%S built a scheduler" name
+      | exception Invalid_argument _ -> ())
+    [ "load-aware"; "SRR"; "" ]
 
 (* The all-but-one-suspended degenerate membership for the seeded RFQ
    scheduler: a receiver replica that shares the seed and learns the
@@ -256,10 +213,8 @@ let test_rfq_suspension_replay_aligned () =
     Alcotest.(check bool) "suspended channel never chosen" true (c <> 1)
   done
 
-(* Fleet-level smoke for the two new disciplines: a Bundle_pool run
-   under each discipline delivers the traffic, Sprinklers through the
-   resequencer (FIFO), Load_aware in arrival order with markers
-   discarded. *)
+(* Fleet-level smoke for both pool disciplines: a Bundle_pool run under
+   each delivers the traffic through the resequencer, in FIFO order. *)
 let fleet_config discipline =
   {
     Bundle_pool.rate_bps = rates;
@@ -293,9 +248,7 @@ let test_fleet_disciplines () =
           Alcotest.(check int) "no FIFO violations" 0
             (Bundle_pool.fifo_violations pool b))
         [ b0; b1 ])
-    [
-      Bundle_pool.Sprinklers 0x5eed; Bundle_pool.Load_aware; Bundle_pool.Srr;
-    ]
+    [ Bundle_pool.Sprinklers 0x5eed; Bundle_pool.Srr ]
 
 let suites =
   [
@@ -303,7 +256,7 @@ let suites =
       List.map
         (fun d ->
           Alcotest.test_case
-            (fst d ^ ": seeded rerun identical")
+            (d ^ ": seeded rerun identical")
             `Quick (test_seeded_rerun_identical d))
         all_discs
       @ [
@@ -311,10 +264,8 @@ let suites =
             test_sprinklers_fairness_bound_pin;
           Alcotest.test_case "sprinklers empirical fairness" `Quick
             test_sprinklers_fairness_empirical;
-          Alcotest.test_case "load-aware spread pin" `Quick
-            test_load_aware_spread_pin;
-          Alcotest.test_case "load-aware set_weights migrates" `Quick
-            test_load_aware_set_weights_migrates;
+          Alcotest.test_case "of_discipline builds every name" `Quick
+            test_of_discipline;
           Alcotest.test_case "rfq suspension replay aligned" `Quick
             test_rfq_suspension_replay_aligned;
           Alcotest.test_case "fleet disciplines deliver" `Quick

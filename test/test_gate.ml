@@ -36,7 +36,7 @@ let test_reader_shapes () =
   Alcotest.(check int) "impair configs" 8 (count "impair" ~key:"config");
   Alcotest.(check int) "gray configs" 4 (count "gray" ~key:"config");
   Alcotest.(check int)
-    "disciplines configs" 24
+    "disciplines configs" 20
     (count "disciplines" ~key:"config");
   let adapt = rows_of "adapt" ~key:"case" in
   check "adapt bool token" true
