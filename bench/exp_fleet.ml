@@ -20,6 +20,8 @@
    - aggregate pps: data packets delivered per wall-clock second across
      the fleet — the number the CI gate protects; with [--domains N],
      also per-shard pps and a scaling-efficiency line;
+   - minor words allocated by the replay per delivered packet, the
+     fleet's allocation gate (single-domain runs);
    - per-bundle fairness: every bundle runs the same configuration and
      sees the same arrival statistics, so delivered goodput normalized
      by lifetime should be equal across bundles. The p50/p99 of the
@@ -37,7 +39,8 @@
      dune exec bench/exp_fleet.exe -- --json FILE      # machine output
      dune exec bench/exp_fleet.exe -- --check FILE
        # CI gate: exit 1 if pps drops >30% below FILE's committed
-       # numbers, or if the protocol aggregates (bundles, peak live,
+       # numbers, if minor words/packet leaves a +-1% band around
+       # them (single-domain runs), or if the protocol aggregates (bundles, peak live,
        # delivered, markers, share p50/p99, simulated seconds) differ
        # from the committed single-domain anchor — the latter holds for
        # every --domains N, so a multicore run is gated on aggregate
@@ -74,6 +77,7 @@ type result = {
   markers : int;
   wall_s : float;
   pps : float;
+  minor_words_per_packet : float;
   share_p50 : float;
   share_p99 : float;
   sim_seconds : float;
@@ -183,7 +187,9 @@ let run_once ~total_bundles ~domains () =
   traffic_tick ();
   Sim.run gsim;
   Gc.compact ();
+  let w0 = Gc.minor_words () in
   let report = Sharded_pool.run pool in
+  let minor_words = Gc.minor_words () -. w0 in
   (* Internal merge consistency: the aggregate the report carries must
      equal the sum of its per-shard entries — always on, every run. *)
   let shard_sum f =
@@ -227,6 +233,8 @@ let run_once ~total_bundles ~domains () =
     pps =
       float_of_int report.Sharded_pool.delivered_packets
       /. report.Sharded_pool.wall_s;
+    minor_words_per_packet =
+      minor_words /. float_of_int report.Sharded_pool.delivered_packets;
     share_p50 = percentile errors 0.50;
     share_p99 = percentile errors 0.99;
     sim_seconds = report.Sharded_pool.end_time;
@@ -243,7 +251,10 @@ let domain_tag domains tag = Printf.sprintf "%s-d%d" tag domains
 (* Everything but wall-clock is seed-deterministic and independent of
    the domain count, so it is gated exactly against the single-domain
    anchor; pps gets a floor on single-domain runs only (CI runners may
-   be single-core, so a sharded run's pps is not comparable). *)
+   be single-core, so a sharded run's pps is not comparable). Minor
+   words per delivered packet, deterministic per build, get a band on
+   single-domain runs; with more domains [Gc.minor_words] sees only the
+   calling domain's shard and the merge, so the figure is reported. *)
 let fields ~domains =
   Gate.
     [
@@ -257,6 +268,10 @@ let fields ~domains =
         ~kind:(if domains = 1 then Floor else Report)
         "pps" "%.1f"
         (fun r -> r.pps);
+      float
+        ~kind:(if domains = 1 then Band else Report)
+        "minor_words_per_packet" "%.2f"
+        (fun r -> r.minor_words_per_packet);
       float "share_p50" "%.4f" (fun r -> r.share_p50);
       float "share_p99" "%.4f" (fun r -> r.share_p99);
       float "sim_seconds" "%.4f" (fun r -> r.sim_seconds);
@@ -284,10 +299,10 @@ let json_of_result ~tag r =
 let print_result ~tag r =
   Printf.printf
     "  %-14s %6d bundles (peak %4d live)  %8d pkts  %6.3f s wall  %9.0f \
-     pkts/s  share err p50 %.3f p99 %.3f\n\
+     pkts/s  %5.2f minor words/pkt  share err p50 %.3f p99 %.3f\n\
      %!"
-    tag r.bundles r.peak_live r.delivered r.wall_s r.pps r.share_p50
-    r.share_p99;
+    tag r.bundles r.peak_live r.delivered r.wall_s r.pps
+    r.minor_words_per_packet r.share_p50 r.share_p99;
   if r.domains > 1 then begin
     let pps_of (s : Sharded_pool.shard_report) =
       if s.Sharded_pool.wall_s > 0.0 then

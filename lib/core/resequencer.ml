@@ -363,10 +363,11 @@ let check_dead t c =
          true
        end
 
-let note_arrival t c ~is_marker =
+(* The watchdog's record of an arrival: its time, and for a marker the
+   channel's cadence estimate. *)
+let stamp_arrival t w c ~is_marker =
   let now = t.now () in
   t.last_rx.(c) <- now;
-  t.dead.(c) <- false;
   if is_marker then begin
     if t.last_marker_rx.(c) > neg_infinity then begin
       let gap = now -. t.last_marker_rx.(c) in
@@ -383,11 +384,8 @@ let note_arrival t c ~is_marker =
            e.g. right after a barrier reseed) every sample is
            admissible, else a true cadence slower than the fallback
            horizon could never be learned at all. *)
-        match t.wd with
-        | Some w ->
-          t.marker_gap.(c) > 0.0
-          && gap > float_of_int w.intervals *. t.marker_gap.(c)
-        | None -> false
+        t.marker_gap.(c) > 0.0
+        && gap > float_of_int w.intervals *. t.marker_gap.(c)
       in
       if beyond_horizon then
         if t.gap_suspect.(c) > 0.0 then begin
@@ -419,6 +417,15 @@ let note_arrival t c ~is_marker =
     end;
     t.last_marker_rx.(c) <- now
   end
+
+(* Every arrival revives its channel. The arrival time and the cadence
+   estimate feed only the watchdog ([check_dead], [expected_gap],
+   [barrier_stale]), so without one the clock is not read: a boxed
+   [now ()] on every reception would be the receiver's only
+   allocation. *)
+let note_arrival t c ~is_marker =
+  t.dead.(c) <- false;
+  match t.wd with None -> () | Some w -> stamp_arrival t w c ~is_marker
 
 (* The stamp is recorded for the channel whose buffer the marker was
    drawn from, not [m.m_channel]: the arrival port is ground truth (a

@@ -106,7 +106,10 @@ val create :
     observability events — [Enqueue], [Marker_applied], [Skip], [Block],
     [Unblock], [Deliver], [Reset_barrier], [Corrupt_discard],
     [Buffer_overflow] — timestamped by [now] (default constant 0; wire
-    it to the simulator clock). *)
+    it to the simulator clock). On a reception [now] is read only to
+    timestamp those events (while the sink is active), for the
+    watchdog, and when a reset barrier starts assembling, so a receiver
+    with neither sink nor watchdog never reads it for a data packet. *)
 
 val recycle : t -> unit
 (** Re-arm this resequencer for a {e fresh} bundle of the same shape,
@@ -122,10 +125,10 @@ val recycle : t -> unit
     bundles through a fixed set of resequencers. *)
 
 val receive : t -> channel:int -> Stripe_packet.Packet.t -> unit
-(** Physical reception of a packet (data or marker) on a channel. Also
-    feeds the watchdog: the arrival timestamps the channel (and its
-    marker cadence, for markers) and revives it if it was declared
-    dead.
+(** Physical reception of a packet (data or marker) on a channel. The
+    arrival revives the channel if it was declared dead and, when a
+    watchdog is armed, timestamps it (and its marker cadence, for
+    markers).
 
     A marker failing its integrity check
     ({!Stripe_packet.Packet.marker_valid}) is discarded and counted in

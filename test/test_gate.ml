@@ -46,7 +46,7 @@ let test_reader_shapes () =
     (field disc "rfq_clean" "resync_ms" = Some "-1.000");
   let thr = rows_of "throughput" ~key:"engine" in
   check "throughput quick words/pkt" true
-    (field thr "calendar-quick" "minor_words_per_packet" = Some "16.60")
+    (field thr "calendar-quick" "minor_words_per_packet" = Some "14.40")
 
 let test_reader_nested_shards () =
   let fleet = rows_of "fleet" ~key:"engine" in
@@ -59,6 +59,10 @@ let test_reader_nested_shards () =
     (field fleet "calendar-quick-d2" "delivered" = Some "690258");
   check "row wall_s" true
     (field fleet "calendar-quick-d2" "wall_s" = Some "0.1964");
+  check "single-domain words/pkt" true
+    (field fleet "calendar-quick" "minor_words_per_packet" = Some "3.84");
+  check "d2 words/pkt, the row's own" true
+    (field fleet "calendar-quick-d2" "minor_words_per_packet" = Some "1.75");
   check "field after shards" true
     (field fleet "calendar-quick-d2" "shards" <> None);
   check "no shard key on the row" true

@@ -333,6 +333,127 @@ let test_buffer_high_water () =
   Alcotest.(check bool) "high water reflects skew run-ahead" true
     (Resequencer.buffer_high_water_packets reseq >= 10)
 
+(* --- Allocation and the watchdog's clock ------------------------------- *)
+
+(* The sender's emissions in emission order, as (channel, packet) pairs.
+   Fed back in that order they are exactly what logical reception
+   expects next, so every data packet is delivered on arrival. *)
+let emissions ?marker ~quanta sizes =
+  let sched = Scheduler.of_deficit ~name:"SRR" (Srr.create ~quanta ()) in
+  let out = ref [] in
+  let striper =
+    Striper.create ~scheduler:sched ?marker
+      ~emit:(fun ~channel pkt -> out := (channel, pkt) :: !out)
+      ()
+  in
+  List.iteri
+    (fun seq size -> Striper.push striper (Packet.data ~seq ~size ()))
+    sizes;
+  Array.of_list (List.rev !out)
+
+(* Without a watchdog nothing reads the arrival time, so an in-order data
+   reception allocates nothing — the clock, boxed like a simulator's
+   [Sim.now], is not called. The first half warms the channel buffers up
+   to their high water. *)
+let test_allocation_without_watchdog () =
+  let quanta = [| 1500; 1500; 1500; 1500 |] in
+  let rng = Stripe_netsim.Rng.create 3 in
+  let n = 20_000 in
+  let arrivals =
+    emissions ~quanta (List.init n (fun _ -> 200 + Stripe_netsim.Rng.int rng 1300))
+  in
+  let sim = Stripe_netsim.Sim.create () in
+  let got = ref 0 in
+  let reseq =
+    Resequencer.create
+      ~deficit:(Srr.create ~quanta ())
+      ~now:(fun () -> Stripe_netsim.Sim.now sim)
+      ~deliver:(fun ~channel:_ _ -> incr got)
+      ()
+  in
+  let feed lo hi =
+    for i = lo to hi - 1 do
+      let channel, pkt = arrivals.(i) in
+      Resequencer.receive reseq ~channel pkt
+    done
+  in
+  let half = Array.length arrivals / 2 in
+  feed 0 half;
+  let w0 = Gc.minor_words () in
+  feed half (Array.length arrivals);
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every packet delivered on arrival" n !got;
+  let per = w /. float_of_int (Array.length arrivals - half) in
+  Printf.printf "resequencer %.3f words/reception\n" per;
+  if per > 0.05 then
+    Alcotest.failf "in-order reception allocates %.3f words without a watchdog"
+      per
+
+(* Skipping the clock without a watchdog changes nothing the protocol
+   decides: on a seeded lossy run with markers, a receiver with no
+   watchdog and one whose horizon (a billion marker gaps) never expires
+   deliver the same sequence and agree on every counter. *)
+let test_watchdog_clock_equivalence () =
+  let rng = Stripe_netsim.Rng.create 11 in
+  let quanta = [| 1500; 1000; 700 |] in
+  let sizes = List.init 3000 (fun _ -> 50 + Stripe_netsim.Rng.int rng 1450) in
+  let sent = emissions ~marker:(Marker.make ~every_rounds:3 ()) ~quanta sizes in
+  (* A per-channel FIFO interleaving with 20% data loss. *)
+  let wires = Array.init (Array.length quanta) (fun _ -> Queue.create ()) in
+  Array.iter (fun (c, p) -> Queue.add p wires.(c)) sent;
+  let arrivals = ref [] in
+  let live () =
+    List.filter
+      (fun c -> not (Queue.is_empty wires.(c)))
+      (List.init (Array.length wires) Fun.id)
+  in
+  let rec go () =
+    match live () with
+    | [] -> ()
+    | cs ->
+      let c = List.nth cs (Stripe_netsim.Rng.int rng (List.length cs)) in
+      let p = Queue.pop wires.(c) in
+      if Packet.is_marker p || not (Stripe_netsim.Rng.bernoulli rng ~p:0.2)
+      then arrivals := (c, p) :: !arrivals;
+      go ()
+  in
+  go ();
+  let arrivals = List.rev !arrivals in
+  let run watchdog =
+    let clock = ref 0.0 in
+    let out = ref [] in
+    let reseq =
+      Resequencer.create
+        ~deficit:(Srr.create ~quanta ())
+        ~now:(fun () -> !clock)
+        ?watchdog
+        ~deliver:(fun ~channel:_ p -> out := p.Packet.seq :: !out)
+        ()
+    in
+    List.iter
+      (fun (channel, p) ->
+        clock := !clock +. 1e-3;
+        Resequencer.receive reseq ~channel p)
+      arrivals;
+    let counters =
+      Resequencer.
+        [
+          delivered reseq; pending reseq; skips reseq; watchdog_skips reseq;
+          dead_declarations reseq; forced_barriers reseq; markers_seen reseq;
+          resets reseq; round reseq; round_realigns reseq;
+          forced_deliveries reseq; reorder_depth_max reseq;
+        ]
+    in
+    (List.rev !out, counters)
+  in
+  let plain_seq, plain = run None in
+  let armed_seq, armed =
+    run (Some { Resequencer.intervals = 1_000_000_000; fallback = 1.0 })
+  in
+  Alcotest.(check bool) "the lossy run skipped" true (List.nth plain 2 > 0);
+  Alcotest.(check (list int)) "same delivered sequence" armed_seq plain_seq;
+  Alcotest.(check (list int)) "same counters" armed plain
+
 let suites =
   [
     ( "resequencer",
@@ -353,6 +474,10 @@ let suites =
           test_mid_visit_marker_correction;
         Alcotest.test_case "bad channel" `Quick test_bad_channel_rejected;
         Alcotest.test_case "buffer high water" `Quick test_buffer_high_water;
+        Alcotest.test_case "allocation without a watchdog" `Quick
+          test_allocation_without_watchdog;
+        Alcotest.test_case "watchdog clock equivalence" `Quick
+          test_watchdog_clock_equivalence;
         QCheck_alcotest.to_alcotest prop_theorem41;
         QCheck_alcotest.to_alcotest prop_recovery;
       ] );

@@ -287,6 +287,96 @@ let test_shard_of_bundle () =
         (Array.length p > 20))
     parts
 
+(* The replay's own cost per op. A one-domain Sharded_pool run is
+   measured against the same tape driven into an identically built
+   Bundle_pool by one prebuilt event reading a cursor; the pool's work
+   and the boxed event times are common to both, so the difference is
+   what the replay adds — its setup and one generation report per
+   release, spread over the ops — in either build profile. *)
+let test_replay_allocation () =
+  let config = fleet_config () in
+  let sp = Sharded_pool.create ~domains:1 ~seed:21 config in
+  let rng = Rng.create 9 in
+  let n_ops = 20_000 in
+  let kind = Bytes.create n_ops and at = Array.make n_ops 0.0 in
+  let slot = Array.make n_ops 0 and arg = Array.make n_ops 0 in
+  let record k op ~t id a =
+    Bytes.set_uint8 kind k op;
+    at.(k) <- t;
+    slot.(k) <- id;
+    arg.(k) <- a
+  in
+  (* Eight bundles at ~5 Mbps of offered load between them; every 500th
+     op retires one and starts a successor on the recycled slot. *)
+  let live = Array.make 8 0 in
+  for b = 0 to 7 do
+    live.(b) <- Sharded_pool.acquire sp ~at:0.0;
+    record b 0 ~t:0.0 live.(b) 0
+  done;
+  let k = ref 8 in
+  while !k < n_ops do
+    let t = float_of_int !k *. 1e-3 in
+    let b = Rng.int rng 8 in
+    if !k mod 500 = 0 && !k + 1 < n_ops then begin
+      Sharded_pool.release sp ~at:t live.(b);
+      record !k 1 ~t live.(b) 0;
+      live.(b) <- Sharded_pool.acquire sp ~at:t;
+      record (!k + 1) 0 ~t live.(b) 0;
+      k := !k + 2
+    end
+    else begin
+      let size = 200 + Rng.int rng 1100 in
+      Sharded_pool.push sp ~at:t live.(b) ~size;
+      record !k 2 ~t live.(b) size;
+      incr k
+    end
+  done;
+  let measure f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. w0, r)
+  in
+  let replay_words, report = measure (fun () -> Sharded_pool.run sp) in
+  let direct_words, direct =
+    measure (fun () ->
+        (* The replay's numbering: dense local ids in first-acquire
+           order. *)
+        let local = Array.make 16 (-1) and n_slots = ref 0 in
+        for i = 0 to n_ops - 1 do
+          if Bytes.get_uint8 kind i = 0 && local.(slot.(i)) < 0 then begin
+            local.(slot.(i)) <- !n_slots;
+            incr n_slots
+          end
+        done;
+        let sim = Sim.create () in
+        let pool =
+          Bundle_pool.create ~initial_capacity:!n_slots
+            ~rng:(Rng.stream ~seed:21 0) ~sim config
+        in
+        let i = ref 0 in
+        let rec fire () =
+          let k = !i in
+          let l = local.(slot.(k)) in
+          (match Bytes.get_uint8 kind k with
+          | 0 -> ignore (Bundle_pool.acquire_slot pool l)
+          | 1 -> Bundle_pool.release pool l
+          | _ -> Bundle_pool.push pool l ~size:arg.(k));
+          i := k + 1;
+          if k + 1 < n_ops then Sim.schedule sim ~at:at.(k + 1) fire
+        in
+        Sim.schedule sim ~at:at.(0) fire;
+        Sim.run sim;
+        Bundle_pool.total_delivered_packets pool)
+  in
+  Alcotest.(check int)
+    "replay delivers what the direct drive does" direct
+    report.Sharded_pool.delivered_packets;
+  let per = (replay_words -. direct_words) /. float_of_int n_ops in
+  Printf.printf "replay %.3f words/op over a direct drive\n" per;
+  if per > 1.0 then
+    Alcotest.failf "Sharded_pool replay allocates %.2f words/op over a direct drive"
+      per
+
 let suites =
   [
     ( "sharded",
@@ -296,6 +386,7 @@ let suites =
         Alcotest.test_case "verdict merge" `Quick test_verdict_merge;
         Alcotest.test_case "shard assignment" `Quick test_shard_of_bundle;
         Alcotest.test_case "e2e: domains 1/2/3" `Quick test_e2e;
+        Alcotest.test_case "replay allocation" `Quick test_replay_allocation;
         Alcotest.test_case "calendar bimodal equivalence" `Quick
           test_calendar_bimodal_equivalence;
       ] );
